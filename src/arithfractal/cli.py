@@ -154,10 +154,14 @@ def _cmd_enumerate(args, out_dir: Path) -> int:
     system = _load(args.system)
     bag = enumerate_system(system, args.bound, args.max_points)
     out = Path(args.out) if args.out else out_dir / "points.csv"
-    rows = [
-        [str(e.point), e.size.raw, e.size.log_size, e.depth] for e in bag.entries
-    ]
-    _write_csv(out, ["point", "size", "log_size", "depth"], rows)
+    # Streams the rows with the cell formatting of fmt() inlined: csv writes
+    # ints with str(), and log sizes are always floats.
+    with open(out, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["point", "size", "log_size", "depth"])
+        writer.writerows(
+            (str(p), sz.raw, f"{sz.log_size:.15g}", d) for p, sz, d in bag.entries
+        )
     print(f"{len(bag)} points up to size {bag.bound} (truncated: {bag.truncated})")
     print(f"wrote {out}")
     _write_manifest(
@@ -259,6 +263,18 @@ def _parse_grid(text: str, system: FractalSystem, bag) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+def _parse_lemma_gap(text: str) -> float:
+    gap_text = text.replace("sdim", "").replace("±", "+-").strip()
+    if not gap_text:
+        return 0.05
+    try:
+        return float(gap_text.lstrip("+-"))
+    except ValueError:
+        raise ConfigError(
+            f"--check-lemmas expects sdim±GAP with a numeric GAP: {text!r}"
+        ) from None
+
+
 def _cmd_growth(args, out_dir: Path) -> int:
     system = _load(args.system)
     bag = enumerate_system(system, args.bound, args.max_points)
@@ -273,8 +289,7 @@ def _cmd_growth(args, out_dir: Path) -> int:
     if args.check_lemmas:
         spec = dimension_equation(system)
         s_dim = solve_dimension(spec, args.tol).s
-        gap_text = args.check_lemmas.replace("sdim", "").replace("±", "+-").strip()
-        gap = float(gap_text.lstrip("+-")) if gap_text else 0.05
+        gap = _parse_lemma_gap(args.check_lemmas)
         lemma_exponents = [
             ("upper", s_dim + gap, "bounded"),
             ("lower", s_dim - gap, "bounded"),
@@ -579,7 +594,7 @@ def _cmd_rerun(args, out_dir: Path) -> int:
     argv = ["--out-dir", str(out_dir)]
     for key in _GLOBAL_PARAMS:
         if key in params and params[key] is not None:
-            argv.extend(["--" + key, str(params.pop(key))])
+            argv.append(f"--{key}={params.pop(key)}")
     argv.append(sub)
     for key in _POSITIONAL_PARAMS[sub]:
         value = params.pop(key, None)
@@ -593,10 +608,8 @@ def _cmd_rerun(args, out_dir: Path) -> int:
             # replay never clobbers the original run.
             value = str(out_dir / Path(value).name)
         flag = "--" + key.replace("_", "-")
-        if value is True:
-            argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
+        # --flag=value keeps a value such as "-1,-1" from reading as a flag.
+        argv.append(flag if value is True else f"{flag}={value}")
     return main(argv)
 
 

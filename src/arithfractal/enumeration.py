@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -31,9 +31,7 @@ from .polynomials import Polynomial
 from .spaces import (
     AffPoint,
     FractalSystem,
-    GaussAffineMap,
     GaussPoint,
-    IntAffineMap,
     IntPoint,
     ProjPoint,
     SpacePoint,
@@ -57,10 +55,14 @@ class BagEntry(NamedTuple):
 
 
 class PointBag:
-    """Result of bounded enumeration: canonical, deduplicated, sorted points.
+    """Result of bounded enumeration: canonical, deduplicated points.
 
-    Entries are sorted by (size, coordinate order), so a bag at a smaller
-    bound is a prefix of the bag at a larger one.  The million-point bags
+    The ordered views (``entries``, ``points``) list points by (size,
+    coordinate order), so a bag at a smaller bound is a prefix of the bag
+    at a larger one.  The bag keeps its payload records in discovery order
+    and sorts them on the first ordered access; ``raw_sizes`` and
+    ``log_sizes`` sort plain ints instead, so counting never pays for the
+    full record sort.  The million-point bags
     keep their payload form internally; ``entries`` materializes the
     wrapped points on first access.
     """
@@ -71,7 +73,7 @@ class PointBag:
         self.bound = bound
         self.size_kind = size_kind
         self.truncated = truncated
-        self._records = records  # [(payload, size, depth)] sorted
+        self._records = records  # [(payload, size, depth)], sorted with entries
         self._to_point = to_point
         self._entries: Optional[list[BagEntry]] = None
 
@@ -81,13 +83,15 @@ class PointBag:
     @property
     def entries(self) -> list[BagEntry]:
         if self._entries is None:
+            records = self._records
             to_point = self._to_point
             log = math.log
             gc.disable()
             try:
+                records.sort(key=itemgetter(1, 0))
                 self._entries = [
                     BagEntry(to_point(p), SizeValue(s, log(s) if s > 1 else 0.0), d)
-                    for p, s, d in self._records
+                    for p, s, d in records
                 ]
             finally:
                 gc.enable()
@@ -96,15 +100,13 @@ class PointBag:
     def points(self) -> list[SpacePoint]:
         return [e.point for e in self.entries]
 
-    def payloads(self) -> list:
-        return [p for p, _, _ in self._records]
-
     def raw_sizes(self) -> list[int]:
-        return [s for _, s, _ in self._records]
+        """Sizes in nondecreasing order (a linear pass once entries exist)."""
+        return sorted([s for _, s, _ in self._records])
 
     def log_sizes(self) -> list[float]:
         log = math.log
-        return [log(s) if s > 1 else 0.0 for _, s, _ in self._records]
+        return [log(s) if s > 1 else 0.0 for s in self.raw_sizes()]
 
     def max_log_bound(self) -> float:
         return math.log(self.bound) if self.bound > 1 else 0.0
@@ -215,11 +217,13 @@ def _raw_orbit(
     """BFS closure on payloads; records are (payload, size, depth) in
     discovery order.
 
-    When a ``counts`` dict is supplied, every generated in-bound image is
-    tallied there, including repeats: because each window point is
-    expanded exactly once, the result counts the representations
-    p = f_i(q) over q in the window, which is what the exactness audit
-    needs.
+    When a ``counts`` dict is supplied, every repeat hit is tallied there:
+    an in-bound image that is already a seed or already discovered.  A
+    non-seed point's first hit is its discovery and is not tallied, so its
+    number of representations p = f_i(q) over the expanded points is
+    ``1 + counts.get(p, 0)``; a seed's is ``counts.get(p, 0)``.  Because
+    each window point is expanded exactly once, that is what the
+    exactness audit needs, without a dict entry per point.
     """
     kernel = _validated_kernel(system, bound_int)
     seen = set()
@@ -255,9 +259,9 @@ def _raw_orbit(
                 child_size = size_fn(child)
                 if child_size > bound_int:
                     continue
-                if counts is not None:
-                    counts[child] = counts.get(child, 0) + 1
                 if child in seen:
+                    if counts is not None:
+                        counts[child] = counts.get(child, 0) + 1
                     continue
                 seen_add(child)
                 rec_append((child, child_size, depth))
@@ -278,13 +282,12 @@ def enumerate_system(
 ) -> PointBag:
     """Breadth-first closure of the seeds under the maps, to size <= bound.
 
-    Output order is deterministic: sorted by (size, coordinate order).
-    When max_points is hit the bag is cut at that order and flagged
-    truncated.
+    Output order is deterministic: sorted by (size, coordinate order), a
+    sort the bag defers to its first ordered access.  When max_points is
+    hit the BFS stops there and the bag is flagged truncated.
     """
     bound_int = int(bound)
     kernel, records, truncated = _raw_orbit(system, bound_int, max_points)
-    records.sort(key=lambda rec: (rec[1], rec[0]))
     return PointBag(
         label=system.label,
         space=system.space,
@@ -306,20 +309,6 @@ class MembershipResult(NamedTuple):
     seed: Optional[SpacePoint]
     path: tuple[int, ...]  # map indices applied from the seed, in order
     via_fallback: bool
-
-
-def basin_radius(system: FractalSystem) -> float:
-    """max |b_i| / (|a_i| - 1) + 1 for affine systems; descent strictly
-    shrinks sizes outside this radius, so termination there is a theorem."""
-    radius = 0.0
-    for map_ in system.maps:
-        if isinstance(map_, IntAffineMap):
-            radius = max(radius, abs(map_.b) / (abs(map_.a) - 1))
-        elif isinstance(map_, GaussAffineMap):
-            norm_b = math.sqrt(map_.b.re**2 + map_.b.im**2)
-            norm_a = math.sqrt(map_.a.re**2 + map_.a.im**2)
-            radius = max(radius, norm_b / (norm_a - 1))
-    return radius + 1.0
 
 
 def is_member(
@@ -474,25 +463,35 @@ def audit_exactness(
     if window == "orbit":
         # Image counting happens inside the orbit BFS: each orbit point is
         # expanded exactly once, and an in-bound image of an orbit point is
-        # itself in the orbit.
+        # itself in the orbit.  Every non-seed point is covered by its
+        # discovery, so the BFS tallies only repeat hits (see _raw_orbit)
+        # and nothing is uncovered.
         kernel, records, _ = _raw_orbit(
             system, bound_int, DEFAULT_MAX_POINTS, counts=counts
         )
         payloads = [rec[0] for rec in records]
-        in_window = None
         seed_payloads = set(kernel.seeds)
+        seeds_hit = sum(1 for s in seed_payloads if s in counts)
+        covered_count = len(payloads) - len(seed_payloads) + seeds_hit
+        overlap_payloads = sorted(
+            p for p, c in counts.items() if c >= 2 or p not in seed_payloads
+        )
+        uncovered_payloads: list = []
+        seed_cov = [SeedCoverage(kernel.to_point(s), s in counts) for s in kernel.seeds]
     else:
         kernel = _validated_kernel(system, bound_int)
         payloads = _ambient_window(system, bound_int)
         in_window = set(payloads)
-        seed_payloads = set()
         images = kernel.images
         for q in payloads:
             for image in images(q):
                 if image in in_window:
                     counts[image] = counts.get(image, 0) + 1
+        covered_count = len(counts)
+        overlap_payloads = sorted(p for p, c in counts.items() if c >= 2)
+        uncovered_payloads = sorted(p for p in payloads if p not in counts)
+        seed_cov = []
 
-    overlap_payloads = sorted(p for p, c in counts.items() if c >= 2)
     witnesses: dict = {p: [] for p in overlap_payloads[:max_listed]}
     if witnesses:
         tracked = set(witnesses)
@@ -502,24 +501,16 @@ def audit_exactness(
                 if image in tracked:
                     witnesses[image].append((i, kernel.to_point(q)))
 
-    uncovered_payloads = sorted(
-        p for p in payloads if p not in counts and p not in seed_payloads
-    )
-
     to_point = kernel.to_point
     overlaps = [
         OverlapRecord(to_point(p), tuple(sorted(witnesses[p], key=lambda w: w[0])))
         for p in overlap_payloads[:max_listed]
     ]
-    seed_cov = [
-        SeedCoverage(to_point(s), s in counts) for s in kernel.seeds
-    ] if window == "orbit" else []
-
     return ExactnessReport(
         bound=bound_int,
         window=window,
         total_points=len(payloads),
-        covered_count=len(counts),
+        covered_count=covered_count,
         overlap_count=len(overlap_payloads),
         uncovered_count=len(uncovered_payloads),
         overlaps=overlaps,

@@ -134,26 +134,6 @@ def canonicalize(point: SpacePoint) -> SpacePoint:
     raise SpaceMismatchError(f"unknown point type {type(point)!r}")
 
 
-def point_sort_key(point: SpacePoint):
-    """Deterministic total order on canonical points of one space."""
-    if isinstance(point, IntPoint):
-        return (point.value,)
-    if isinstance(point, GaussPoint):
-        return (point.re, point.im)
-    if isinstance(point, ProjPoint):
-        return point.coords
-    if isinstance(point, AffPoint):
-        return tuple((c.numerator, c.denominator) for c in point.coords)
-    if isinstance(point, ECPoint):
-        if point.is_infinity:
-            return ((), ())
-        return (
-            (point.x.numerator, point.x.denominator),
-            (point.y.numerator, point.y.denominator),
-        )
-    raise SpaceMismatchError(f"unknown point type {type(point)!r}")
-
-
 # ---------------------------------------------------------------------------
 # Similarity maps
 # ---------------------------------------------------------------------------

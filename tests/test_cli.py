@@ -1,6 +1,9 @@
 import json
 
-from arithfractal.cli import main
+import pytest
+
+from arithfractal import enumerate_system, load_system
+from arithfractal.cli import _write_csv, main
 from arithfractal.corpus import corpus_path
 
 Z_BINARY = str(corpus_path("z-binary"))
@@ -57,6 +60,30 @@ def test_enumerate_writes_csv(tmp_path, capsys):
     assert lines[1].startswith("0,0,0,0")
 
 
+@pytest.mark.parametrize(
+    "name, bound",
+    [("digits01", "1e6"), ("gauss-base", "4096"), ("p1-powers2-full", "4096"),
+     ("q2-powers2", "256")],
+)
+def test_enumerate_csv_matches_fmt_rows(tmp_path, capsys, name, bound):
+    # The streamed writer must give the bytes of the fmt()-per-cell rows.
+    system_path = str(corpus_path(name))
+    out_file = tmp_path / "pts.csv"
+    code, _, _ = run(
+        ["--out-dir", str(tmp_path), "enumerate", system_path, "--bound", bound,
+         "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0
+    bag = enumerate_system(load_system(system_path), float(bound))
+    rows = [[str(e.point), e.size.raw, e.size.log_size, e.depth] for e in bag.entries]
+    expected = tmp_path / "expected.csv"
+    _write_csv(expected, ["point", "size", "log_size", "depth"], rows)
+    assert out_file.read_bytes() == expected.read_bytes()
+    if name == "q2-powers2":
+        assert '"(2,4)",' in out_file.read_text()  # affine points quote their commas
+
+
 def test_member_certificate(tmp_path, capsys):
     code, out, _ = run(["--out-dir", str(tmp_path), "member", DIGITS01, "101"], capsys)
     assert code == 0
@@ -91,6 +118,16 @@ def test_growth_fit_and_lemmas(tmp_path, capsys):
     assert checks[("upper", "unbounded")] is False
     body = (tmp_path / "growth.csv").read_text().splitlines()
     assert body[0].startswith("x,N,h_s=")
+
+
+def test_growth_bad_lemma_gap_is_config_error(tmp_path, capsys):
+    code, _, err = run(
+        ["--out-dir", str(tmp_path), "growth", DIGITS01, "--bound", "1e3",
+         "--check-lemmas", "sdim+-abc"],
+        capsys,
+    )
+    assert code == 2
+    assert "error[" in err and "sdim+-abc" in err
 
 
 def test_census_csv(tmp_path, capsys):
@@ -186,3 +223,17 @@ def test_manifest_rerun_byte_identical(tmp_path, capsys):
     assert (second / "growth_verdict.json").read_bytes() == (
         first / "growth_verdict.json"
     ).read_bytes()
+
+
+def test_rerun_negative_point_value(tmp_path, capsys):
+    # 3P = (-1,-1) on 37a: the replayed "--point" value starts with "-".
+    first = tmp_path / "a"
+    second = tmp_path / "b"
+    argv = ["--tol", "1e-3", "ec", "height", "--curve", "0,0,1,-1,0", "--point=-1,-1"]
+    code, out, _ = run(["--out-dir", str(first)] + argv, capsys)
+    assert code == 0
+    manifest = first / "ec_manifest.json"
+    code, rerun_out, err = run(["--out-dir", str(second), "rerun", str(manifest)], capsys)
+    assert code == 0, err
+    assert rerun_out == out
+    assert (second / "ec_manifest.json").read_bytes() == manifest.read_bytes()

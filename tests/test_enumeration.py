@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithfractal import (
+    CORPUS,
     FractalSystem,
     IntAffineMap,
     IntPoint,
     ProjPoint,
+    apply,
     audit_exactness,
     curve_intersection_probe,
     enumerate_system,
@@ -70,6 +74,24 @@ def test_bag_sorted_and_deduplicated(q2_powers2):
     sizes = bag.raw_sizes()
     assert sizes == sorted(sizes)
     assert len(set(bag.points())) == len(bag)
+
+
+@pytest.mark.parametrize("name", ["z-2x3x", "gauss-base", "p1-powers2-full", "q2-powers2"])
+def test_sizes_same_before_and_after_ordering(name):
+    # Sizes come from an int sort until entries sorts the records themselves.
+    bag = enumerate_system(load_corpus_system(name), 2**8)
+    sizes = bag.raw_sizes()
+    logs = bag.log_sizes()
+    assert [e.size.raw for e in bag.entries] == sizes
+    assert bag.raw_sizes() == sizes
+    assert bag.log_sizes() == logs == [e.size.log_size for e in bag.entries]
+
+
+def test_size_ties_in_coordinate_order(gauss_base):
+    bag = enumerate_system(gauss_base, 2**10)
+    keys = [(e.size.raw, e.point.re, e.point.im) for e in bag.entries]
+    assert keys == sorted(keys)
+    assert len(set(k[0] for k in keys)) < len(keys)  # the bag has size ties
 
 
 def test_monotone_window_prefix(digits01):
@@ -168,6 +190,82 @@ def test_audit_overlap_at_six(z_2x3x):
     six = next(rec for rec in report.overlaps if rec.point.value == 6)
     witnesses = {(i, q.value) for i, q in six.witnesses}
     assert witnesses == {(0, 3), (1, 2)}
+
+
+def brute_orbit_audit(system, bound):
+    """Counts p = f_i(q) over the enumerated orbit with the point-level maps."""
+    window = enumerate_system(system, bound).points()
+    in_window = set(window)
+    witnesses = {}
+    for q in window:
+        for i, map_ in enumerate(system.maps):
+            image = apply(map_, q)
+            if image in in_window:
+                witnesses.setdefault(image, []).append((i, q))
+    seeds = set(system.seeds)
+    return {
+        "total_points": len(window),
+        "covered_count": len(witnesses),
+        "overlaps": {p: sorted(w, key=str) for p, w in witnesses.items() if len(w) >= 2},
+        "uncovered": sorted(
+            (p for p in window if p not in witnesses and p not in seeds), key=str
+        ),
+        "seed_coverage": [(s, s in witnesses) for s in system.seeds],
+    }
+
+
+def fused_orbit_audit(system, bound):
+    report = audit_exactness(system, bound)
+    assert report.overlap_count == len(report.overlaps)  # nothing cut at max_listed
+    return {
+        "total_points": report.total_points,
+        "covered_count": report.covered_count,
+        "overlaps": {r.point: sorted(r.witnesses, key=str) for r in report.overlaps},
+        "uncovered": sorted(report.uncovered, key=str),
+        "seed_coverage": [tuple(c) for c in report.seed_coverage],
+    }
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in CORPUS if e.exact is not None], ids=lambda e: e.name
+)
+def test_orbit_audit_matches_brute_force(entry):
+    system = load_corpus_system(entry.name)
+    bound = min(entry.audit_bound, 2**10)
+    expected = brute_orbit_audit(system, bound)
+    assert fused_orbit_audit(system, bound) == expected
+    assert bool(expected["overlaps"]) == (not entry.exact)
+
+
+def test_orbit_audit_seed_hit_twice():
+    # Seeds 1 and 2 with {2x, 3x-1}: 2 = 2*1 = 3*1-1, so the seed 2 is an
+    # overlap, while the seed 1 is no image at all.
+    system = FractalSystem(
+        "int", (IntAffineMap(2, 0), IntAffineMap(3, -1)), (IntPoint(1), IntPoint(2)), "s"
+    )
+    report = audit_exactness(system, 200)
+    assert fused_orbit_audit(system, 200) == brute_orbit_audit(system, 200)
+    assert [(c.seed.value, c.is_image) for c in report.seed_coverage] == [(1, False), (2, True)]
+    assert 2 in {r.point.value for r in report.overlaps}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([-3, -2, 2, 3, 4]), st.integers(-6, 6)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.integers(-20, 20), min_size=1, max_size=3),
+)
+def test_orbit_audit_matches_brute_force_random(maps, seeds):
+    system = FractalSystem(
+        "int",
+        tuple(IntAffineMap(a, b) for a, b in maps),
+        tuple(IntPoint(s) for s in seeds),
+        "random",
+    )
+    assert fused_orbit_audit(system, 500) == brute_orbit_audit(system, 500)
 
 
 def test_audit_ambient_window_int(z_binary):
