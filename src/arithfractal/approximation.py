@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from .enumeration import PointBag
 from .errors import ConfigError, UnsupportedSpaceError, ZeroProjectivePointError
 from .polynomials import parse_rational
-from .spaces import ProjPoint, SpacePoint, canonicalize
+from .spaces import SPACES, ProjPoint, SpacePoint, canonicalize
 
 
 def chordal_distance(p, q) -> float:
@@ -40,12 +40,10 @@ def chordal_distance(p, q) -> float:
 
 
 def _pair(p) -> tuple[int, int]:
-    if isinstance(p, ProjPoint):
-        if len(p.coords) != 2:
-            raise UnsupportedSpaceError("chordal metric lives on the projective line")
-        return p.coords
-    a, b = p
-    return int(a), int(b)
+    coords = tuple(getattr(p, "coords", p))
+    if len(coords) != 2:
+        raise UnsupportedSpaceError("chordal metric lives on the projective line")
+    return int(coords[0]), int(coords[1])
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class Target:
             if len(parts) != 2:
                 raise ConfigError(f"projective target must be a:b, got {text!r}")
             a, b = (parse_rational(p) for p in parts)
-            lcm = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+            lcm = math.lcm(a.denominator, b.denominator)
             point = canonicalize(ProjPoint((int(a * lcm), int(b * lcm))))
             return cls(projective=point.coords)
         if space == "int":
@@ -92,27 +90,28 @@ class ApproxRecord(NamedTuple):
     exact_hit: bool
 
 
+# Per space: the Target field it is measured against, and the distance
+# from a payload of the space to that target.
+_METRICS = {
+    "projq": ("projective", chordal_distance),
+    "int": ("line", lambda value, line: abs(float(Fraction(value) - line))),
+}
+
+
 def _records(bag: PointBag, target: Target) -> list[ApproxRecord]:
-    if bag.space == "projq":
-        if target.projective is None:
-            raise ConfigError("projective bag needs a projective target")
-        t = target.projective
-        records = []
-        for entry in bag.entries:
-            d = chordal_distance(entry.point, t)
-            records.append(_record(entry.point, entry.size.log_size, d, target.error))
-        return records
-    if bag.space == "int":
-        if target.line is None:
-            raise ConfigError("integer bag needs a rational line target")
-        records = []
-        for entry in bag.entries:
-            d = abs(float(Fraction(entry.point.value) - target.line))
-            records.append(_record(entry.point, entry.size.log_size, d, target.error))
-        return records
-    raise UnsupportedSpaceError(
-        f"approximation harness supports projq and int bags, not {bag.space!r}"
-    )
+    if bag.space not in _METRICS:
+        raise UnsupportedSpaceError(
+            f"approximation harness supports projq and int bags, not {bag.space!r}"
+        )
+    field, distance = _METRICS[bag.space]
+    t = getattr(target, field)
+    if t is None:
+        raise ConfigError(f"{bag.space} bag needs a {field} target")
+    payload = SPACES[bag.space].payload
+    return [
+        _record(e.point, e.size.log_size, distance(payload(e.point), t), target.error)
+        for e in bag.entries
+    ]
 
 
 def _record(point: SpacePoint, h: float, d: float, error: float) -> ApproxRecord:

@@ -18,10 +18,11 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .approximation import Target, approximants, approximation_exponent_profile
-from .corpus import CORPUS, corpus_path, export_corpus
+from .corpus import CORPUS, corpus_path, export_corpus, load_corpus_system
 from .dimension import (
     dimension_equation,
     evaluate_pressure,
@@ -242,25 +243,31 @@ def _cmd_audit(args, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _default_grid(system: FractalSystem, bag) -> list[float]:
-    if bag.size_kind == "height":
-        top = bag.max_log_bound()
-        return geometric_grid(math.log(2), top, 2.0)
-    if system.space == "gauss":
-        return geometric_grid(4, bag.bound, 2.0)
-    return geometric_grid(10, bag.bound, 10.0)
+def _numbers(text: str, flag: str, count: Optional[int] = None) -> list[float]:
+    """The comma-separated finite numbers of a flag value, ``count`` of them
+    when given."""
+    try:
+        values = [float(p) for p in text.split(",") if p.strip()]
+        if all(map(math.isfinite, values)) and count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    raise ConfigError(f"{flag} expects {count or 'comma-separated'} finite number(s): {text!r}")
 
 
-def _parse_grid(text: str, system: FractalSystem, bag) -> list[float]:
+def _parse_grid(text: str, bag) -> list[float]:
+    """A comma-separated grid, "geometric:FACTOR", or "auto" (factor 10 on
+    integer bags, 2 on the others)."""
     if text == "auto":
-        return _default_grid(system, bag)
-    if text.startswith("geometric:"):
-        factor = float(text.split(":", 1)[1])
-        if bag.size_kind == "height":
-            return geometric_grid(math.log(2), bag.max_log_bound(), factor)
-        start = 4 if system.space == "gauss" else factor
-        return geometric_grid(start, bag.bound, factor)
-    return [float(p) for p in text.split(",") if p.strip()]
+        factor = 10.0 if bag.size_kind == "abs" else 2.0
+    elif text.startswith("geometric:"):
+        (factor,) = _numbers(text.split(":", 1)[1], "--grid geometric:", 1)
+    else:
+        return _numbers(text, "--grid")
+    if bag.size_kind == "height":
+        return geometric_grid(math.log(2), bag.max_log_bound(), factor)
+    start = 4 if bag.size_kind == "norm" else factor
+    return geometric_grid(start, bag.bound, factor)
 
 
 def _parse_lemma_gap(text: str) -> float:
@@ -278,7 +285,7 @@ def _parse_lemma_gap(text: str) -> float:
 def _cmd_growth(args, out_dir: Path) -> int:
     system = _load(args.system)
     bag = enumerate_system(system, args.bound, args.max_points)
-    grid = _parse_grid(args.grid, system, bag)
+    grid = _parse_grid(args.grid, bag)
     table = counting_function(bag, grid)
     verdict: dict = {
         "label": system.label,
@@ -355,7 +362,7 @@ def _cmd_growth(args, out_dir: Path) -> int:
 
 
 def _cmd_census(args, out_dir: Path) -> int:
-    count = projective_census(args.n, args.bound, args.threads)
+    count = projective_census(args.n, args.bound)
     if args.compare_schanuel:
         prediction = schanuel_prediction(args.n, args.bound)
         ratio = count / prediction
@@ -376,7 +383,6 @@ def _cmd_census(args, out_dir: Path) -> int:
             "n": args.n,
             "bound": args.bound,
             "compare_schanuel": args.compare_schanuel,
-            "threads": args.threads,
             "out": str(out),
         },
         [str(out)],
@@ -466,7 +472,7 @@ def _cmd_intersect(args, out_dir: Path) -> int:
         raise ConfigError("intersect expects an affine rational system")
     nvars = system.maps[0].nvars()
     curve = parse_polynomial(args.curve, nvars)
-    bounds = [int(float(b)) for b in args.bounds.split(",") if b.strip()]
+    bounds = [int(b) for b in _numbers(args.bounds, "--bounds")]
     probe = curve_intersection_probe(system, curve, bounds)
     out = Path(args.out) if args.out else out_dir / "intersect.csv"
     rows = [[b, c] for b, c in zip(probe.bounds, probe.counts)]
@@ -514,7 +520,7 @@ def _cmd_ec(args, out_dir: Path) -> int:
             for chunk in args.torsion.split(";"):
                 if chunk.strip():
                     torsion.append(_parse_ec_point(chunk, curve))
-        grid = [float(x) for x in args.grid.split(",") if x.strip()]
+        grid = _numbers(args.grid, "--grid")
         result = neron_count(curve, generator, torsion, grid, args.tol)
         out = Path(args.out) if args.out else out_dir / "neron.csv"
         rows = [[x, n] for x, n in zip(result.table.grid, result.table.counts)]
@@ -537,7 +543,6 @@ def _cmd_ec(args, out_dir: Path) -> int:
             [str(out)],
         )
         return EXIT_OK
-    raise ConfigError(f"unknown ec subcommand {args.ec_command!r}")
 
 
 def _cmd_corpus(args, out_dir: Path) -> int:
@@ -552,8 +557,6 @@ def _cmd_corpus(args, out_dir: Path) -> int:
     header = f"{'name':<18} {'space':<6} {'maps':<4} {'dimension':<18} {'exact':<6} description"
     print(header)
     print("-" * len(header))
-    from .corpus import load_corpus_system
-
     for entry in CORPUS:
         system = load_corpus_system(entry.name)
         dim_text = fmt(entry.expected_dimension) if entry.expected_dimension is not None else "-"
@@ -579,16 +582,22 @@ _POSITIONAL_PARAMS = {
     "corpus": ("name",),
 }
 
-_GLOBAL_PARAMS = ("tol", "threads")
+_GLOBAL_PARAMS = ("tol",)
 
 
 def _cmd_rerun(args, out_dir: Path) -> int:
     manifest_path = Path(args.manifest)
     if not manifest_path.exists():
         raise ConfigError(f"MissingFile: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    sub = manifest["subcommand"]
-    params = dict(manifest["parameters"])
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        sub = manifest["subcommand"]
+        params = dict(manifest["parameters"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{manifest_path} is not a run manifest: {exc!r}") from None
+    # Census manifests written while the no-op --threads flag existed
+    # record it; the flag is gone and never changed a result.
+    params.pop("threads", None)
     if sub not in _POSITIONAL_PARAMS:
         raise ConfigError(f"manifest names unknown subcommand {sub!r}")
     argv = ["--out-dir", str(out_dir)]
@@ -624,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-similar fractals in arithmetic: enumeration, dimension, heights.",
     )
     parser.add_argument("--out-dir", default=".", help="directory for outputs and manifests")
-    parser.add_argument("--threads", type=int, default=1, help="worker count for partitionable scans")
     parser.add_argument("--tol", type=float, default=1e-12, help="numeric tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 

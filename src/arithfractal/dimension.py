@@ -16,16 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import NonExpandingWeightError
-from .spaces import (
-    EllTranslateMap,
-    FractalSystem,
-    GaussAffineMap,
-    IntAffineMap,
-    PolyTupleMap,
-    ProjHomogMap,
-    SimilarityMap,
-    gauss_norm,
-)
+from .spaces import FractalSystem, SimilarityMap
 
 DEFAULT_TOL = 1e-12
 
@@ -55,37 +46,7 @@ class DimensionResult(NamedTuple):
 def map_weight(map_: SimilarityMap, convention: str = "norm") -> float:
     if convention not in CONVENTIONS:
         raise NonExpandingWeightError(f"unknown convention {convention!r}")
-    if isinstance(map_, IntAffineMap):
-        return float(abs(map_.a))
-    if isinstance(map_, GaussAffineMap):
-        norm = gauss_norm(map_.a)
-        return float(norm) if convention == "norm" else math.sqrt(norm)
-    if isinstance(map_, ProjHomogMap):
-        return float(map_.degree())
-    if isinstance(map_, EllTranslateMap):
-        return float(map_.multiplier)
-    if isinstance(map_, PolyTupleMap):
-        degree = map_.degree()
-        if degree >= 2:
-            return float(degree)
-        if map_.nvars() == 1:
-            # Linear single-variable map c*x + d: weight is |c|, the
-            # one-variable leading-coefficient rule.
-            lead = _leading_coefficient(map_)
-            return abs(float(lead))
-        raise NonExpandingWeightError(
-            "no weight rule for multivariate affine-linear tuples"
-        )
-    raise NonExpandingWeightError(f"unknown map type {type(map_)!r}")
-
-
-def _leading_coefficient(map_: PolyTupleMap) -> Fraction:
-    comp = map_.components[0]
-    top = max(sum(e) for e, _ in comp.terms)
-    for exps, coeff in comp.terms:
-        if sum(exps) == top:
-            return coeff
-    raise NonExpandingWeightError("empty polynomial component")
+    return map_.weight(convention)
 
 
 def dimension_equation(
@@ -181,10 +142,8 @@ def reciprocal_sum_audit(
     system: FractalSystem, tol: float = DEFAULT_TOL
 ) -> ReciprocalAudit:
     """Audit sum(1/|a_i|) and the bound s <= 1 for an integer system."""
-    total = Fraction(0)
-    for map_ in system.maps:
-        if not isinstance(map_, IntAffineMap):
-            raise NonExpandingWeightError("reciprocal audit applies to integer systems")
-        total += Fraction(1, abs(map_.a))
+    if system.space != "int":
+        raise NonExpandingWeightError("reciprocal audit applies to integer systems")
+    total = sum((Fraction(1, abs(m.a)) for m in system.maps), Fraction(0))
     result = solve_dimension(dimension_equation(system), tol)
     return ReciprocalAudit(total, result.s, result.s <= 1.0 + 10 * tol)

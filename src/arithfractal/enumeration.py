@@ -17,7 +17,7 @@ import gc
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     ConfigError,
@@ -25,27 +25,24 @@ from .errors import (
     UndecidedError,
     UnsupportedMapKindError,
     UnsupportedSpaceError,
+    ZeroProjectivePointError,
 )
-from .heights import SizeValue, affine_height_raw, raw_size
+from .heights import SizeValue
 from .polynomials import Polynomial
 from .spaces import (
+    SPACES,
     AffPoint,
     FractalSystem,
-    GaussPoint,
-    IntPoint,
-    ProjPoint,
+    Space,
     SpacePoint,
     apply,
-    canonicalize,
-    preimage,
-    space_of_point,
+    as_bound,
+    point_space,
     validate_system,
 )
 
 DEFAULT_MAX_POINTS = 10_000_000
 DEPTH_GUARD = 10_000
-
-_SIZE_KIND = {"int": "abs", "gauss": "norm", "affq": "height", "projq": "height"}
 
 
 class BagEntry(NamedTuple):
@@ -113,107 +110,43 @@ class PointBag:
 
 
 # ---------------------------------------------------------------------------
-# Payload kernels
+# Breadth-first closure on payloads
 # ---------------------------------------------------------------------------
 
 
-class _Kernel(NamedTuple):
-    seeds: list
-    images: Callable  # payload -> list of payloads, in map order
-    size: Callable  # payload -> int
-    to_point: Callable  # payload -> SpacePoint
-
-
-def _kernel(system: FractalSystem) -> _Kernel:
-    space = system.space
-    if space == "int":
-        coeffs = [(m.a, m.b) for m in system.maps]
-
-        def images(v):
-            return [a * v + b for a, b in coeffs]
-
-        return _Kernel([s.value for s in system.seeds], images, abs, IntPoint)
-    if space == "gauss":
-        coeffs = [(m.a.re, m.a.im, m.b.re, m.b.im) for m in system.maps]
-
-        def images(p):
-            x, y = p
-            return [
-                (ar * x - ai * y + br, ar * y + ai * x + bi)
-                for ar, ai, br, bi in coeffs
-            ]
-
-        return _Kernel(
-            [(s.re, s.im) for s in system.seeds],
-            images,
-            lambda p: p[0] * p[0] + p[1] * p[1],
-            lambda p: GaussPoint(*p),
-        )
-    if space == "projq":
-        form_lists = [m.forms for m in system.maps]
-
-        def images(coords):
-            out = []
-            for forms in form_lists:
-                raw = tuple(f.evaluate_int(coords) for f in forms)
-                g = math.gcd(*(abs(c) for c in raw))
-                if g == 0:
-                    raise NonTerminatingError("map sent a point to (0:...:0)")
-                reduced = tuple(c // g for c in raw)
-                lead = next(c for c in reduced if c)
-                if lead < 0:
-                    reduced = tuple(-c for c in reduced)
-                out.append(reduced)
-            return out
-
-        return _Kernel(
-            [s.coords for s in system.seeds],
-            images,
-            lambda coords: max(abs(c) for c in coords),
-            ProjPoint,
-        )
-    if space == "affq":
-        comp_lists = [m.components for m in system.maps]
-
-        def images(coords):
-            return [
-                tuple(c.evaluate(coords) for c in comps) for comps in comp_lists
-            ]
-
-        return _Kernel(
-            [s.coords for s in system.seeds],
-            images,
-            affine_height_raw,
-            AffPoint,
-        )
-    raise UnsupportedSpaceError(
-        f"enumeration is not supported on space {space!r}"
-    )
-
-
-def _check_seeds(kernel: _Kernel, bound_int: int) -> None:
-    for payload in kernel.seeds:
-        if kernel.size(payload) > bound_int:
-            raise ConfigError(
-                f"bound {bound_int} is below the size of seed {kernel.to_point(payload)}"
-            )
-
-
-def _validated_kernel(system: FractalSystem, bound_int: int) -> _Kernel:
+def _compile(system: FractalSystem, bound_int: int) -> tuple[Space, list, list]:
+    """The validated system as its space entry, its seed payloads and one
+    image closure per map, in map order."""
     violations = validate_system(system)
     if violations:
         raise ConfigError(f"invalid system: {violations[0].message}")
-    kernel = _kernel(system)
-    _check_seeds(kernel, bound_int)
-    return kernel
+    space = SPACES[system.space]
+    if not space.enumerable:
+        raise UnsupportedSpaceError(
+            f"enumeration is not supported on space {space.name!r}"
+        )
+    seeds = [space.payload(s) for s in system.seeds]
+    for payload in seeds:
+        if space.size(payload) > bound_int:
+            raise ConfigError(
+                f"bound {bound_int} is below the size of seed {space.to_point(payload)}"
+            )
+    return space, seeds, [m.image_fn() for m in system.maps]
+
+
+def _zero_image(compiled: tuple, image, payload) -> ZeroProjectivePointError:
+    space, _, images = compiled
+    return ZeroProjectivePointError(
+        f"map {images.index(image)} sends {space.to_point(payload)} to (0:...:0)"
+    )
 
 
 def _raw_orbit(
-    system: FractalSystem,
+    compiled: tuple,
     bound_int: int,
     max_points: int,
     counts: Optional[dict] = None,
-) -> tuple[_Kernel, list, bool]:
+) -> tuple[list, bool]:
     """BFS closure on payloads; records are (payload, size, depth) in
     discovery order.
 
@@ -225,54 +158,52 @@ def _raw_orbit(
     each window point is expanded exactly once, that is what the
     exactness audit needs, without a dict entry per point.
     """
-    kernel = _validated_kernel(system, bound_int)
-    seen = set()
-    records = []  # (payload, size, depth)
-    frontier = []
-    for payload in kernel.seeds:
-        if payload not in seen:
-            seen.add(payload)
-            records.append((payload, kernel.size(payload), 0))
-            frontier.append(payload)
+    space, seeds, images = compiled
+    size_fn = space.size
+    frontier = list(dict.fromkeys(seeds))
+    seen = set(frontier)
+    records = [(p, size_fn(p), 0) for p in frontier]  # (payload, size, depth)
 
     depth = 0
     truncated = False
-    images = kernel.images
-    size_fn = kernel.size
-    map_count = len(system.maps)
-    while frontier and not truncated:
-        depth += 1
-        if depth > DEPTH_GUARD:
-            raise NonTerminatingError(
-                f"enumeration exceeded {DEPTH_GUARD} generations; system may not expand"
-            )
-        # Intra-generation order only matters when a truncation cut could
-        # land in this generation; the final sort fixes the order otherwise.
-        if len(records) + map_count * len(frontier) >= max_points:
-            frontier.sort()
-        next_frontier = []
-        seen_add = seen.add
-        rec_append = records.append
-        next_append = next_frontier.append
-        for payload in frontier:
-            for child in images(payload):
-                child_size = size_fn(child)
-                if child_size > bound_int:
-                    continue
-                if child in seen:
-                    if counts is not None:
-                        counts[child] = counts.get(child, 0) + 1
-                    continue
-                seen_add(child)
-                rec_append((child, child_size, depth))
-                next_append(child)
-                if len(records) >= max_points:
-                    truncated = True
+    map_count = len(images)
+    try:
+        while frontier and not truncated:
+            depth += 1
+            if depth > DEPTH_GUARD:
+                raise NonTerminatingError(
+                    f"enumeration exceeded {DEPTH_GUARD} generations; system may not expand"
+                )
+            # Intra-generation order only matters when a truncation cut could
+            # land in this generation; the final sort fixes the order otherwise.
+            if len(records) + map_count * len(frontier) >= max_points:
+                frontier.sort()
+            next_frontier = []
+            seen_add = seen.add
+            rec_append = records.append
+            next_append = next_frontier.append
+            for payload in frontier:
+                for image in images:
+                    child = image(payload)
+                    child_size = size_fn(child)
+                    if child_size > bound_int:
+                        continue
+                    if child in seen:
+                        if counts is not None:
+                            counts[child] = counts.get(child, 0) + 1
+                        continue
+                    seen_add(child)
+                    rec_append((child, child_size, depth))
+                    next_append(child)
+                    if len(records) >= max_points:
+                        truncated = True
+                        break
+                if truncated:
                     break
-            if truncated:
-                break
-        frontier = next_frontier
-    return kernel, records, truncated
+            frontier = next_frontier
+    except ZeroProjectivePointError:
+        raise _zero_image(compiled, image, payload) from None
+    return records, truncated
 
 
 def enumerate_system(
@@ -286,15 +217,17 @@ def enumerate_system(
     sort the bag defers to its first ordered access.  When max_points is
     hit the BFS stops there and the bag is flagged truncated.
     """
-    bound_int = int(bound)
-    kernel, records, truncated = _raw_orbit(system, bound_int, max_points)
+    bound_int = as_bound(bound)
+    compiled = _compile(system, bound_int)
+    records, truncated = _raw_orbit(compiled, bound_int, max_points)
+    space = compiled[0]
     return PointBag(
         label=system.label,
         space=system.space,
         bound=bound_int,
-        size_kind=_SIZE_KIND[system.space],
+        size_kind=space.size_kind,
         records=records,
-        to_point=kernel.to_point,
+        to_point=space.to_point,
         truncated=truncated,
     )
 
@@ -323,45 +256,49 @@ def is_member(
     one.  Otherwise the decision falls back to an enumerated bag whose
     bound must cover the queried point (flagged in the result).
     """
-    point = canonicalize(point)
-    if space_of_point(point) != system.space:
+    space = point_space(point)
+    if space.name != system.space:
         raise ConfigError("point and system live in different spaces")
+    payload = space.canonical(space.payload(point))
     try:
-        return _descend(system, point, depth_limit)
+        return _descend(system, space, payload, depth_limit)
     except UnsupportedMapKindError:
         bag = fallback_bag
-        if bag is None or bag.bound < raw_size(point):
-            bound = max([raw_size(point), 1] + [raw_size(s) for s in system.seeds])
-            bag = enumerate_system(system, bound)
-        member = point in set(bag.points())
+        size = space.size(payload)
+        if bag is None or bag.bound < size:
+            seed_sizes = [space.size(space.payload(s)) for s in system.seeds]
+            bag = enumerate_system(system, max([size, 1] + seed_sizes))
+        member = any(record[0] == payload for record in bag._records)
         return MembershipResult(member, None, (), True)
 
 
-def _descend(system: FractalSystem, point: SpacePoint, depth_limit: int) -> MembershipResult:
-    seeds = set(system.seeds)
-    if point in seeds:
-        return MembershipResult(True, point, (), False)
+def _descend(system: FractalSystem, space: Space, payload, depth_limit: int) -> MembershipResult:
+    """Walks preimage payloads back from the query; only the certificate
+    seed is wrapped as a point."""
+    seeds = {space.payload(s) for s in system.seeds}
+    if payload in seeds:
+        return MembershipResult(True, space.to_point(payload), (), False)
+    preimages = [m.preimage_fn() for m in system.maps]
     # Depth-first search through preimages.  The visited set makes the walk
     # finite: outside the basin radius preimages strictly shrink, inside it
     # only finitely many points exist.
-    stack = [(point, ())]
-    visited = {point}
+    stack = [(payload, ())]
+    visited = {payload}
     while stack:
         current, back_path = stack.pop()
         if len(back_path) >= depth_limit:
             raise UndecidedError(
-                f"membership descent hit depth limit {depth_limit} for {point}"
+                f"membership descent hit depth limit {depth_limit} for {space.to_point(payload)}"
             )
-        for i, map_ in enumerate(system.maps):
-            parent = preimage(map_, current)
+        for i, preimage in enumerate(preimages):
+            parent = preimage(current)
             if parent is None:
                 continue
-            parent = canonicalize(parent)
             if parent in seeds:
                 # Forward replay: the descent step via map i comes first,
                 # then the earlier backward steps in reverse order.
                 forward = (i,) + tuple(reversed(back_path))
-                return MembershipResult(True, parent, forward, False)
+                return MembershipResult(True, space.to_point(parent), forward, False)
             if parent not in visited:
                 visited.add(parent)
                 stack.append((parent, back_path + (i,)))
@@ -417,32 +354,6 @@ class ExactnessReport:
         return self.overlap_count == 0 and self.uncovered_count == 0
 
 
-def _ambient_window(system: FractalSystem, bound: int) -> list:
-    space = system.space
-    if space == "int":
-        return list(range(-bound, bound + 1))
-    if space == "gauss":
-        r = math.isqrt(bound)
-        return [
-            (a, b)
-            for a in range(-r, r + 1)
-            for b in range(-r, r + 1)
-            if a * a + b * b <= bound
-        ]
-    if space == "projq":
-        n = len(system.seeds[0].coords)
-        if n != 2:
-            raise UnsupportedSpaceError("ambient window only for the projective line")
-        window = [(0, 1), (1, 0)]
-        for a in range(1, bound + 1):
-            for b in range(1, bound + 1):
-                if math.gcd(a, b) == 1:
-                    window.append((a, b))
-                    window.append((a, -b))
-        return window
-    raise UnsupportedSpaceError(f"no ambient window for space {space!r}")
-
-
 def audit_exactness(
     system: FractalSystem,
     bound,
@@ -458,7 +369,9 @@ def audit_exactness(
     """
     if window not in ("orbit", "ambient"):
         raise ConfigError(f"unknown audit window {window!r}")
-    bound_int = int(bound)
+    bound_int = as_bound(bound)
+    compiled = _compile(system, bound_int)
+    space, seeds, images = compiled
     counts: dict = {}
     if window == "orbit":
         # Image counting happens inside the orbit BFS: each orbit point is
@@ -466,27 +379,29 @@ def audit_exactness(
         # itself in the orbit.  Every non-seed point is covered by its
         # discovery, so the BFS tallies only repeat hits (see _raw_orbit)
         # and nothing is uncovered.
-        kernel, records, _ = _raw_orbit(
-            system, bound_int, DEFAULT_MAX_POINTS, counts=counts
-        )
+        records, _ = _raw_orbit(compiled, bound_int, DEFAULT_MAX_POINTS, counts=counts)
         payloads = [rec[0] for rec in records]
-        seed_payloads = set(kernel.seeds)
+        seed_payloads = set(seeds)
         seeds_hit = sum(1 for s in seed_payloads if s in counts)
         covered_count = len(payloads) - len(seed_payloads) + seeds_hit
         overlap_payloads = sorted(
             p for p, c in counts.items() if c >= 2 or p not in seed_payloads
         )
         uncovered_payloads: list = []
-        seed_cov = [SeedCoverage(kernel.to_point(s), s in counts) for s in kernel.seeds]
+        seed_cov = [SeedCoverage(space.to_point(s), s in counts) for s in seeds]
     else:
-        kernel = _validated_kernel(system, bound_int)
-        payloads = _ambient_window(system, bound_int)
+        if space.window is None:
+            raise UnsupportedSpaceError(f"no ambient window for space {space.name!r}")
+        payloads = space.window(bound_int, seeds)
         in_window = set(payloads)
-        images = kernel.images
-        for q in payloads:
-            for image in images(q):
-                if image in in_window:
-                    counts[image] = counts.get(image, 0) + 1
+        try:
+            for q in payloads:
+                for image in images:
+                    p = image(q)
+                    if p in in_window:
+                        counts[p] = counts.get(p, 0) + 1
+        except ZeroProjectivePointError:
+            raise _zero_image(compiled, image, q) from None
         covered_count = len(counts)
         overlap_payloads = sorted(p for p, c in counts.items() if c >= 2)
         uncovered_payloads = sorted(p for p in payloads if p not in counts)
@@ -494,16 +409,14 @@ def audit_exactness(
 
     witnesses: dict = {p: [] for p in overlap_payloads[:max_listed]}
     if witnesses:
-        tracked = set(witnesses)
-        images = kernel.images
         for q in payloads:
-            for i, image in enumerate(images(q)):
-                if image in tracked:
-                    witnesses[image].append((i, kernel.to_point(q)))
+            for i, image in enumerate(images):
+                p = image(q)
+                if p in witnesses:
+                    witnesses[p].append((i, space.to_point(q)))
 
-    to_point = kernel.to_point
     overlaps = [
-        OverlapRecord(to_point(p), tuple(sorted(witnesses[p], key=lambda w: w[0])))
+        OverlapRecord(space.to_point(p), tuple(sorted(witnesses[p], key=lambda w: w[0])))
         for p in overlap_payloads[:max_listed]
     ]
     return ExactnessReport(
@@ -514,7 +427,7 @@ def audit_exactness(
         overlap_count=len(overlap_payloads),
         uncovered_count=len(uncovered_payloads),
         overlaps=overlaps,
-        uncovered=[to_point(p) for p in uncovered_payloads[:max_listed]],
+        uncovered=[space.to_point(p) for p in uncovered_payloads[:max_listed]],
         seed_coverage=seed_cov,
     )
 
@@ -545,7 +458,7 @@ def curve_intersection_probe(
         raise UnsupportedSpaceError("intersection probes run on affine rational systems")
     if not curve:
         raise ConfigError("curve polynomial is zero")
-    bound_list = sorted(int(b) for b in bounds)
+    bound_list = sorted(as_bound(b) for b in bounds)
     if not bound_list:
         raise ConfigError("need at least one bound")
     bag = enumerate_system(system, bound_list[-1])

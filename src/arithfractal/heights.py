@@ -4,27 +4,17 @@ Sizes are multiplicative and exact (big integers) until the final log:
 absolute value on the integers, the norm a^2+b^2 on the Gaussian integers,
 and the Weil height via the product formula on projective and affine
 rational points (max coordinate after gcd reduction, which is the product
-formula specialized to the rationals).
+formula specialized to the rationals).  Each size function lives in its
+space's ``spaces.SPACES`` entry; ``raw_size`` looks it up.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .elliptic import ECPoint
 from .errors import BoundTooLargeError, SpaceMismatchError
-from .spaces import (
-    AffPoint,
-    FractalSystem,
-    GaussPoint,
-    IntPoint,
-    ProjPoint,
-    SpacePoint,
-    apply,
-    gauss_norm,
-)
+from .spaces import FractalSystem, SpacePoint, apply, as_bound, point_space
 
 
 class SizeValue(NamedTuple):
@@ -40,30 +30,8 @@ def _log(raw: int) -> float:
 
 def raw_size(point: SpacePoint) -> int:
     """Exact multiplicative size of a canonical point."""
-    if isinstance(point, IntPoint):
-        return abs(point.value)
-    if isinstance(point, GaussPoint):
-        return gauss_norm(point)
-    if isinstance(point, ProjPoint):
-        return max(abs(c) for c in point.coords)
-    if isinstance(point, AffPoint):
-        return affine_height_raw(point.coords)
-    if isinstance(point, ECPoint):
-        if point.is_infinity:
-            return 1
-        x = point.x
-        return max(abs(x.numerator), abs(x.denominator))
-    raise SpaceMismatchError(f"unknown point type {type(point)!r}")
-
-
-def affine_height_raw(coords: Sequence[Fraction]) -> int:
-    """H(1 : x1 : ... : xn) computed exactly by lcm clearing."""
-    lcm = 1
-    for c in coords:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    cleared = [lcm] + [int(c * lcm) for c in coords]
-    g = math.gcd(*(abs(v) for v in cleared))
-    return max(abs(v) // g for v in cleared)
+    space = point_space(point)
+    return space.size(space.payload(point))
 
 
 def size_of(point: SpacePoint) -> SizeValue:
@@ -146,7 +114,7 @@ def schanuel_prediction(n: int, x: float) -> float:
 _CENSUS_LIMITS = {1: 10**4, 2: 10**2}
 
 
-def projective_census(n: int, bound: float, threads: int = 1) -> int:
+def projective_census(n: int, bound: float) -> int:
     """Exact count of canonical points of P^n(Q) with height <= bound.
 
     Counts by gcd filtering over the integer box with the canonical sign
@@ -154,33 +122,29 @@ def projective_census(n: int, bound: float, threads: int = 1) -> int:
     """
     if n not in _CENSUS_LIMITS:
         raise BoundTooLargeError(f"census supports n in {sorted(_CENSUS_LIMITS)}")
-    x = int(bound)
+    x = as_bound(bound)
     if x < 0 or x > _CENSUS_LIMITS[n]:
         raise BoundTooLargeError(f"census bound {bound} exceeds desk scale for n={n}")
     if x == 0:
         return 0
     if n == 1:
-        return _census_p1(x, threads)
-    return _census_p2(x, threads)
+        return _census_p1(x)
+    return _census_p2(x)
 
 
-def _census_p1(x: int, threads: int = 1) -> int:
+def _census_p1(x: int) -> int:
     # (0:1) and (1:0), then (a:+-b) with a,b >= 1 coprime.
     count = 2
-    chunk = max(1, (x + threads - 1) // threads)
-    for start in range(1, x + 1, chunk):
-        sub = 0
-        for a in range(start, min(start + chunk, x + 1)):
-            for b in range(1, x + 1):
-                if math.gcd(a, b) == 1:
-                    sub += 2
-        count += sub
+    for a in range(1, x + 1):
+        for b in range(1, x + 1):
+            if math.gcd(a, b) == 1:
+                count += 2
     return count
 
 
-def _census_p2(x: int, threads: int = 1) -> int:
+def _census_p2(x: int) -> int:
     # a=0 face is a canonical P^1 census; a >= 1 ranges over a full box in b, c.
-    count = _census_p1(x, threads)
+    count = _census_p1(x)
     for a in range(1, x + 1):
         for b in range(-x, x + 1):
             g = math.gcd(a, abs(b))

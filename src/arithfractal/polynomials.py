@@ -18,13 +18,12 @@ Exponents = tuple[int, ...]
 
 def parse_rational(text) -> Fraction:
     """Parse "p/q", a decimal integer string, or a plain int into a Fraction."""
-    if isinstance(text, int):
+    if isinstance(text, (int, Fraction)):
         return Fraction(text)
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, str):
+    try:
         return Fraction(text.strip())
-    raise ConfigError(f"cannot parse rational from {text!r}")
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse rational from {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -1,28 +1,48 @@
 """Ambient spaces, points, similarity maps, and fractal systems.
 
-Five spaces are supported: the rational integers ("int"), the Gaussian
-integers ("gauss"), affine rational tuples ("affq"), projective rational
-points in canonical integer coordinates ("projq"), and points of an
-elliptic curve over the rationals ("ec").  Everything is exact: integers
-are arbitrary precision, rationals are Fractions, and projective points
-are kept in a canonical form (coprime coordinates, first nonzero one
-positive) so that set membership is well defined.
+A fractal system is a space together with a finite set of expanding maps
+on it.  Five spaces are supported: the rational integers ("int"), the
+Gaussian integers ("gauss"), affine rational tuples ("affq"), projective
+rational points in canonical integer coordinates ("projq"), and points of
+an elliptic curve over the rationals ("ec").  Everything is exact:
+integers are arbitrary precision, rationals are Fractions, and projective
+points are kept in a canonical form (coprime coordinates, first nonzero
+one positive) so that set membership is well defined.
+
+Each space is built once, as one ``Space`` entry of ``SPACES``.  Inside
+the library a point travels as a light payload: an int, an (re, im) pair,
+a tuple of Fractions, a canonical tuple of integers, or the ECPoint
+itself.  The entry converts payloads to and from the wrapper point
+classes, puts a payload in canonical form, gives its exact size and the
+kind of that size, reads its JSON value and its command-line literal and
+writes its JSON value, and lists the ambient window of the exactness
+audit.  ``point_space`` is the one lookup from a point's type to its entry.
+
+Each map kind is likewise written once, as one class: ``image_fn`` and
+``preimage_fn`` compile a map into closures on payloads, which ``apply``,
+``preimage``, the breadth-first enumerator and membership descent all
+share; ``weight``, ``problems`` and ``json_fields`` give its Moran weight,
+its validation and its JSON record.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union, get_args
 
 from .elliptic import Curve, ECPoint, INFINITY, ec_add, ec_mul
 from .errors import (
     ConfigError,
+    NonExpandingWeightError,
     SpaceMismatchError,
     UnsupportedMapKindError,
+    UnsupportedSpaceError,
     ZeroProjectivePointError,
 )
 from .polynomials import (
@@ -30,8 +50,6 @@ from .polynomials import (
     format_rational,
     parse_rational,
 )
-
-SPACES = ("int", "gauss", "affq", "projq", "ec")
 
 
 # ---------------------------------------------------------------------------
@@ -72,42 +90,185 @@ class ProjPoint(NamedTuple):
 SpacePoint = Union[IntPoint, GaussPoint, AffPoint, ProjPoint, ECPoint]
 
 
-def gauss_mul(a: GaussPoint, b: GaussPoint) -> GaussPoint:
-    return GaussPoint(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+def gauss_norm(a) -> int:
+    return a[0] * a[0] + a[1] * a[1]
 
 
-def gauss_add(a: GaussPoint, b: GaussPoint) -> GaussPoint:
-    return GaussPoint(a.re + b.re, a.im + b.im)
+def as_bound(bound) -> int:
+    """A size bound as an exact integer; nan and infinity are rejected."""
+    try:
+        return int(bound)
+    except (ValueError, OverflowError, TypeError):
+        raise ConfigError(f"bound must be a finite number, got {bound!r}") from None
 
 
-def gauss_norm(a: GaussPoint) -> int:
-    return a.re * a.re + a.im * a.im
+# ---------------------------------------------------------------------------
+# The five spaces
+# ---------------------------------------------------------------------------
 
 
-def gauss_divide_exact(p: GaussPoint, a: GaussPoint) -> Optional[GaussPoint]:
-    """p / a in Z[i] when the division is exact, else None."""
-    n = gauss_norm(a)
-    if n == 0:
-        return None
-    re = p.re * a.re + p.im * a.im
-    im = p.im * a.re - p.re * a.im
-    if re % n or im % n:
-        return None
-    return GaussPoint(re // n, im // n)
+def _identity(payload):
+    return payload
+
+
+def _proj_canonical(coords: tuple) -> tuple:
+    g = math.gcd(*(abs(c) for c in coords))
+    if g == 0:
+        raise ZeroProjectivePointError("all projective coordinates are zero")
+    reduced = tuple(c // g for c in coords)
+    lead = next(c for c in reduced if c)
+    if lead < 0:
+        reduced = tuple(-c for c in reduced)
+    return reduced
+
+
+def affine_height_raw(coords: Sequence[Fraction]) -> int:
+    """H(1 : x1 : ... : xn) computed exactly by lcm clearing."""
+    lcm = math.lcm(*(c.denominator for c in coords))
+    cleared = [lcm] + [int(c * lcm) for c in coords]
+    g = math.gcd(*(abs(v) for v in cleared))
+    return max(abs(v) // g for v in cleared)
+
+
+def _ec_size(point: ECPoint) -> int:
+    if point.is_infinity:
+        return 1
+    return max(abs(point.x.numerator), abs(point.x.denominator))
+
+
+def _parse_int(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        return int(value.strip())
+    except (AttributeError, ValueError):
+        raise ConfigError(f"expected integer, got {value!r}") from None
+
+
+def _json_list(value, length: Optional[int] = None) -> list:
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise ConfigError(f"expected a list of {length or 'n'} values, got {value!r}")
+    return value
+
+
+def _parse_gauss(value) -> GaussPoint:
+    return GaussPoint(*(_parse_int(v) for v in _json_list(value, 2)))
+
+
+def _gauss_to_json(p) -> list[str]:
+    return [str(p[0]), str(p[1])]
+
+
+def _parse_gauss_literal(text: str) -> tuple[int, int]:
+    s = text.replace(" ", "")
+    if not s.endswith("i"):
+        return _parse_int(s), 0
+    body = s[:-1]
+    # The imaginary part starts at the last sign that does not lead the body.
+    cut = max(body.rfind("+"), body.rfind("-"), 0)
+    re_part, im_part = body[:cut] or "0", body[cut:]
+    if im_part in ("", "+", "-"):
+        im_part += "1"
+    return _parse_int(re_part), _parse_int(im_part)
+
+
+def _ec_from_json(value) -> ECPoint:
+    if value == "inf":
+        return INFINITY
+    x, y = _json_list(value, 2)
+    return ECPoint(parse_rational(x), parse_rational(y))
+
+
+def _ec_to_json(point: ECPoint):
+    if point.is_infinity:
+        return "inf"
+    return [format_rational(point.x), format_rational(point.y)]
+
+
+def _rationals(value) -> tuple:
+    return tuple(parse_rational(c) for c in _json_list(value))
+
+
+def _ints(value) -> tuple:
+    return tuple(_parse_int(c) for c in _json_list(value))
+
+
+def _int_window(bound: int, seeds: list) -> list:
+    return list(range(-bound, bound + 1))
+
+
+def _gauss_window(bound: int, seeds: list) -> list:
+    r = math.isqrt(bound)
+    side = range(-r, r + 1)
+    return [(a, b) for a in side for b in side if a * a + b * b <= bound]
+
+
+def _proj_window(bound: int, seeds: list) -> list:
+    if len(seeds[0]) != 2:
+        raise UnsupportedSpaceError("ambient window only for the projective line")
+    window = [(0, 1), (1, 0)]
+    for a in range(1, bound + 1):
+        for b in range(1, bound + 1):
+            if math.gcd(a, b) == 1:
+                window.append((a, b))
+                window.append((a, -b))
+    return window
+
+
+class Space(NamedTuple):
+    """Everything the library knows about one ambient space."""
+
+    name: str
+    point: type  # the wrapper point class
+    to_point: Callable  # payload -> point
+    payload: Callable  # point -> payload
+    canonical: Callable  # payload -> canonical payload
+    size: Callable  # payload -> exact multiplicative size
+    size_kind: str
+    from_json: Callable  # JSON value -> payload
+    to_json: Callable  # payload -> JSON value
+    parse: Callable  # stripped command-line literal -> payload
+    tuples: bool = False  # payloads are coordinate tuples of the maps' arity
+    enumerable: bool = True
+    window: Optional[Callable] = None  # (bound, seed payloads) -> ambient audit window
+
+
+SPACES = {
+    s.name: s
+    for s in (
+        Space("int", IntPoint, IntPoint, attrgetter("value"), _identity, abs, "abs",
+              _parse_int, str, _parse_int, window=_int_window),
+        Space("gauss", GaussPoint, lambda p: GaussPoint(*p), tuple, _identity,
+              gauss_norm, "norm", _parse_gauss, _gauss_to_json, _parse_gauss_literal,
+              window=_gauss_window),
+        Space("affq", AffPoint, AffPoint, attrgetter("coords"),
+              lambda coords: tuple(Fraction(c) for c in coords), affine_height_raw,
+              "height", _rationals, lambda coords: [format_rational(c) for c in coords],
+              lambda t: _rationals(t.strip("()").split(",")), tuples=True),
+        Space("projq", ProjPoint, ProjPoint, attrgetter("coords"), _proj_canonical,
+              lambda coords: max(abs(c) for c in coords), "height", _ints,
+              lambda coords: [str(c) for c in coords],
+              lambda t: _ints(t.strip("()").split(":")), tuples=True, window=_proj_window),
+        Space("ec", ECPoint, _identity, _identity, _identity, _ec_size, "height",
+              _ec_from_json, _ec_to_json,
+              lambda t: _ec_from_json(t if t == "inf" else t.strip("()").split(",")),
+              enumerable=False),
+    )
+}
+
+_SPACE_OF_TYPE = {s.point: s for s in SPACES.values()}
+
+
+def point_space(point: SpacePoint) -> Space:
+    """The space entry of a point: the one lookup from point type to space."""
+    try:
+        return _SPACE_OF_TYPE[type(point)]
+    except KeyError:
+        raise SpaceMismatchError(f"unknown point type {type(point)!r}") from None
 
 
 def space_of_point(point: SpacePoint) -> str:
-    if isinstance(point, IntPoint):
-        return "int"
-    if isinstance(point, GaussPoint):
-        return "gauss"
-    if isinstance(point, AffPoint):
-        return "affq"
-    if isinstance(point, ProjPoint):
-        return "projq"
-    if isinstance(point, ECPoint):
-        return "ec"
-    raise SpaceMismatchError(f"unknown point type {type(point)!r}")
+    return point_space(point).name
 
 
 def canonicalize(point: SpacePoint) -> SpacePoint:
@@ -117,21 +278,8 @@ def canonicalize(point: SpacePoint) -> SpacePoint:
     first nonzero coordinate is made positive.  Rationals are normalized by
     Fraction itself.
     """
-    if isinstance(point, (IntPoint, GaussPoint, ECPoint)):
-        return point
-    if isinstance(point, AffPoint):
-        return AffPoint(tuple(Fraction(c) for c in point.coords))
-    if isinstance(point, ProjPoint):
-        coords = tuple(int(c) for c in point.coords)
-        if not any(coords):
-            raise ZeroProjectivePointError("all projective coordinates are zero")
-        g = math.gcd(*(abs(c) for c in coords))
-        coords = tuple(c // g for c in coords)
-        lead = next(c for c in coords if c)
-        if lead < 0:
-            coords = tuple(-c for c in coords)
-        return ProjPoint(coords)
-    raise SpaceMismatchError(f"unknown point type {type(point)!r}")
+    space = point_space(point)
+    return space.to_point(space.canonical(space.payload(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +287,44 @@ def canonicalize(point: SpacePoint) -> SpacePoint:
 # ---------------------------------------------------------------------------
 
 
+def _polynomials(value) -> tuple[Polynomial, ...]:
+    records = _json_list(value)
+    return tuple(Polynomial.from_records(r, len(records)) for r in records)
+
+
+def _polynomial_records(polys) -> list:
+    return [p.to_records() for p in polys]
+
+
+class _MapKind:
+    """Defaults shared by the map kinds below.
+
+    ``json_fields`` lists the keys of a map's JSON record in constructor
+    order, each with the parser and the formatter of its value.
+    """
+
+    json_fields: tuple = ()
+
+    def degree(self) -> int:
+        return 1
+
+    def preimage_fn(self) -> Callable:
+        raise UnsupportedMapKindError(
+            f"preimage not available for map kind {self.kind!r}"
+        )
+
+    def to_json(self) -> dict:
+        values = (getattr(self, f.name) for f in fields(self))
+        record = {key: fmt(v) for (key, _, fmt), v in zip(self.json_fields, values)}
+        return {"kind": self.kind, **record}
+
+    @classmethod
+    def from_json(cls, record: dict, curve: Optional[Curve]):
+        return cls(*(parse(record[key]) for key, parse, _ in cls.json_fields))
+
+
 @dataclass(frozen=True)
-class IntAffineMap:
+class IntAffineMap(_MapKind):
     """x -> a*x + b on the integers; expanding when |a| > 1."""
 
     a: int
@@ -148,16 +332,31 @@ class IntAffineMap:
 
     kind = "int_affine"
     space = "int"
+    json_fields = (("a", _parse_int, str), ("b", _parse_int, str))
 
-    def degree(self) -> int:
-        return 1
+    def image_fn(self) -> Callable:
+        a, b = self.a, self.b
+        return lambda v: a * v + b
 
-    def describe(self) -> str:
-        return f"{self.a}x{self.b:+d}" if self.b else f"{self.a}x"
+    def preimage_fn(self) -> Callable:
+        a, b = self.a, self.b
+
+        def preimage(v):
+            q, r = divmod(v - b, a)
+            return None if r else q
+
+        return preimage
+
+    def weight(self, convention: str) -> float:
+        return float(abs(self.a))
+
+    def problems(self, curve):
+        if abs(self.a) <= 1:
+            yield "NonExpanding", f"|a|={abs(self.a)} must exceed 1"
 
 
 @dataclass(frozen=True)
-class GaussAffineMap:
+class GaussAffineMap(_MapKind):
     """z -> a*z + b on the Gaussian integers."""
 
     a: GaussPoint
@@ -165,22 +364,49 @@ class GaussAffineMap:
 
     kind = "gauss_affine"
     space = "gauss"
+    json_fields = (("a", _parse_gauss, _gauss_to_json), ("b", _parse_gauss, _gauss_to_json))
 
-    def degree(self) -> int:
-        return 1
+    def image_fn(self) -> Callable:
+        (ar, ai), (br, bi) = self.a, self.b
 
-    def describe(self) -> str:
-        return f"({self.a})z+({self.b})"
+        def image(p):
+            x, y = p
+            return (ar * x - ai * y + br, ar * y + ai * x + bi)
+
+        return image
+
+    def preimage_fn(self) -> Callable:
+        """Exact division by a in Z[i], None when it does not divide."""
+        (ar, ai), (br, bi) = self.a, self.b
+        n = gauss_norm(self.a)
+
+        def preimage(p):
+            x, y = p[0] - br, p[1] - bi
+            re, im = x * ar + y * ai, y * ar - x * ai
+            if not n or re % n or im % n:
+                return None
+            return (re // n, im // n)
+
+        return preimage
+
+    def weight(self, convention: str) -> float:
+        norm = gauss_norm(self.a)
+        return float(norm) if convention == "norm" else math.sqrt(norm)
+
+    def problems(self, curve):
+        if gauss_norm(self.a) <= 1:
+            yield "NonExpanding", f"Norm(a)={gauss_norm(self.a)} must exceed 1"
 
 
 @dataclass(frozen=True)
-class PolyTupleMap:
+class PolyTupleMap(_MapKind):
     """Tuple of n polynomials in n variables acting on affine rational space."""
 
     components: tuple[Polynomial, ...]
 
     kind = "poly_tuple"
     space = "affq"
+    json_fields = (("components", _polynomials, _polynomial_records),)
 
     def nvars(self) -> int:
         return len(self.components)
@@ -188,33 +414,64 @@ class PolyTupleMap:
     def degree(self) -> int:
         return max(c.total_degree() for c in self.components)
 
-    def describe(self) -> str:
-        return "(" + "; ".join(str(c) for c in self.components) + ")"
+    def image_fn(self) -> Callable:
+        comps = self.components
+        return lambda coords: tuple(c.evaluate(coords) for c in comps)
 
-    def monomial_diagonal(self) -> Optional[list[tuple[Fraction, int]]]:
-        """[(coeff, exponent)] per coordinate when each component is a single
-        monomial c*x_i^e in its own variable; None otherwise."""
+    def preimage_fn(self) -> Callable:
+        """Coordinatewise roots when each component is a single monomial
+        c*x_i^e in its own variable (positive root for even e)."""
         diag = []
         for i, comp in enumerate(self.components):
-            if not comp.is_monomial():
-                return None
-            exps, coeff = comp.terms[0]
-            if any(e and j != i for j, e in enumerate(exps)):
-                return None
-            if exps[i] == 0:
-                return None
+            exps, coeff = comp.terms[0] if comp.is_monomial() else ((), 0)
+            if not exps or not exps[i] or any(e and j != i for j, e in enumerate(exps)):
+                raise UnsupportedMapKindError(
+                    "preimage supports only coordinatewise monomial tuples"
+                )
             diag.append((coeff, exps[i]))
-        return diag
+
+        def preimage(coords):
+            if len(coords) != len(diag):
+                return None
+            roots = []
+            for (coeff, exponent), value in zip(diag, coords):
+                root = _fraction_root(value / coeff, exponent)
+                if root is None:
+                    return None
+                roots.append(root)
+            return tuple(roots)
+
+        return preimage
+
+    def weight(self, convention: str) -> float:
+        degree = self.degree()
+        if degree >= 2:
+            return float(degree)
+        if self.nvars() == 1:
+            # Linear single-variable map c*x + d: weight is |c|, the
+            # one-variable leading-coefficient rule.
+            return abs(float(dict(self.components[0].terms).get((1,), 0)))
+        raise NonExpandingWeightError(
+            "no weight rule for multivariate affine-linear tuples"
+        )
+
+    def problems(self, curve):
+        n = len(self.components)
+        if not n or any(c.nvars != n for c in self.components):
+            yield "BadArity", "need n components in n variables"
+        elif any(c.total_degree() < 1 or not c for c in self.components):
+            yield "DegreeTooLow", "components need total degree >= 1"
 
 
 @dataclass(frozen=True)
-class ProjHomogMap:
+class ProjHomogMap(_MapKind):
     """n+1 homogeneous integer forms of a common degree acting on P^n."""
 
     forms: tuple[Polynomial, ...]
 
     kind = "proj_homog"
     space = "projq"
+    json_fields = (("forms", _polynomials, _polynomial_records),)
 
     def nvars(self) -> int:
         return len(self.forms)
@@ -222,12 +479,39 @@ class ProjHomogMap:
     def degree(self) -> int:
         return self.forms[0].total_degree()
 
-    def describe(self) -> str:
-        return "(" + " : ".join(str(f) for f in self.forms) + ")"
+    def image_fn(self) -> Callable:
+        forms = self.forms
+        return lambda coords: _proj_canonical(tuple(f.evaluate_int(coords) for f in forms))
+
+    def weight(self, convention: str) -> float:
+        return float(self.degree())
+
+    def problems(self, curve):
+        forms = self.forms
+        if not forms or any(f.nvars != len(forms) for f in forms):
+            yield "BadArity", "need n+1 forms in n+1 variables"
+            return
+        if any(not f.is_homogeneous() or not f for f in forms):
+            yield "NotHomogeneous", "all forms must be homogeneous"
+            return
+        degrees = {f.total_degree() for f in forms}
+        if len(degrees) != 1:
+            yield "MixedDegrees", f"form degrees differ: {degrees}"
+            return
+        if self.degree() < 2:
+            # Projective similarity maps must have degree > 1, unlike the
+            # affine case where degree 1 is allowed.
+            yield "DegreeTooLow", "projective maps need degree >= 2"
+        if any(not f.has_integer_coefficients() for f in forms):
+            yield "NonIntegerForm", "forms need integer coefficients"
+            return
+        zero = _common_zero_on_grid(forms)
+        if zero is not None:
+            yield "CommonZeroOnGrid", f"forms vanish simultaneously at {zero}"
 
 
 @dataclass(frozen=True)
-class EllTranslateMap:
+class EllTranslateMap(_MapKind):
     """P -> [n]P + T on an elliptic curve."""
 
     multiplier: int
@@ -236,17 +520,37 @@ class EllTranslateMap:
 
     kind = "ell_translate"
     space = "ec"
+    json_fields = (("n", _parse_int, str), ("translate", _ec_from_json, _ec_to_json))
 
     def degree(self) -> int:
         return self.multiplier
 
-    def describe(self) -> str:
-        return f"[{self.multiplier}]P+{self.translation}"
+    def image_fn(self) -> Callable:
+        n, translation, curve = self.multiplier, self.translation, self.curve
+        return lambda point: ec_add(curve, ec_mul(curve, n, point), translation)
+
+    def weight(self, convention: str) -> float:
+        return float(self.multiplier)
+
+    def problems(self, curve):
+        if self.multiplier < 2:
+            yield "NonExpanding", "multiplier must be at least 2"
+        if curve is not None and not curve.contains(self.translation):
+            yield "TranslationNotOnCurve", "translation not on curve"
+
+    @classmethod
+    def from_json(cls, record: dict, curve: Optional[Curve]):
+        if curve is None:
+            raise ConfigError("ell_translate map requires the system to carry a curve")
+        translation = _ec_from_json(record.get("translate", "inf"))
+        return cls(_parse_int(record["n"]), translation, curve)
 
 
 SimilarityMap = Union[
     IntAffineMap, GaussAffineMap, PolyTupleMap, ProjHomogMap, EllTranslateMap
 ]
+
+MAP_KINDS = {cls.kind: cls for cls in get_args(SimilarityMap)}
 
 
 # ---------------------------------------------------------------------------
@@ -254,33 +558,25 @@ SimilarityMap = Union[
 # ---------------------------------------------------------------------------
 
 
+def _map_space(map_: SimilarityMap, point: SpacePoint) -> Space:
+    space = point_space(point)
+    if map_.space != space.name:
+        raise SpaceMismatchError(
+            f"map on {map_.space!r} applied to point in {space.name!r}"
+        )
+    return space
+
+
 def apply(map_: SimilarityMap, point: SpacePoint) -> SpacePoint:
     """Exact image of a point, canonicalized."""
-    if map_.space != space_of_point(point):
-        raise SpaceMismatchError(
-            f"map on {map_.space!r} applied to point in {space_of_point(point)!r}"
-        )
-    if isinstance(map_, IntAffineMap):
-        return IntPoint(map_.a * point.value + map_.b)
-    if isinstance(map_, GaussAffineMap):
-        return gauss_add(gauss_mul(map_.a, point), map_.b)
-    if isinstance(map_, PolyTupleMap):
-        return AffPoint(tuple(c.evaluate(point.coords) for c in map_.components))
-    if isinstance(map_, ProjHomogMap):
-        image = tuple(f.evaluate_int(point.coords) for f in map_.forms)
-        return canonicalize(ProjPoint(image))
-    if isinstance(map_, EllTranslateMap):
-        multiple = ec_mul(map_.curve, map_.multiplier, point)
-        return ec_add(map_.curve, multiple, map_.translation)
-    raise UnsupportedMapKindError(f"unknown map type {type(map_)!r}")
+    space = _map_space(map_, point)
+    return space.to_point(map_.image_fn()(space.payload(point)))
 
 
 def _fraction_root(value: Fraction, degree: int) -> Optional[Fraction]:
     """Exact degree-th root of a rational, preferring the positive root."""
     if degree == 1:
         return value
-    if value == 0:
-        return Fraction(0)
     negative = value < 0
     if negative and degree % 2 == 0:
         return None
@@ -318,32 +614,9 @@ def preimage(map_: SimilarityMap, point: SpacePoint) -> Optional[SpacePoint]:
     Other kinds raise UnsupportedMapKind: membership for them falls back to
     enumeration.
     """
-    if map_.space != space_of_point(point):
-        raise SpaceMismatchError("preimage: map and point live in different spaces")
-    if isinstance(map_, IntAffineMap):
-        delta = point.value - map_.b
-        if delta % map_.a:
-            return None
-        return IntPoint(delta // map_.a)
-    if isinstance(map_, GaussAffineMap):
-        shifted = GaussPoint(point.re - map_.b.re, point.im - map_.b.im)
-        return gauss_divide_exact(shifted, map_.a)
-    if isinstance(map_, PolyTupleMap):
-        diag = map_.monomial_diagonal()
-        if diag is None:
-            raise UnsupportedMapKindError(
-                "preimage supports only coordinatewise monomial tuples"
-            )
-        coords = []
-        for (coeff, exponent), value in zip(diag, point.coords):
-            root = _fraction_root(Fraction(value) / coeff, exponent)
-            if root is None:
-                return None
-            coords.append(root)
-        return AffPoint(tuple(coords))
-    raise UnsupportedMapKindError(
-        f"preimage not available for map kind {map_.kind!r}"
-    )
+    space = _map_space(map_, point)
+    parent = map_.preimage_fn()(space.payload(point))
+    return None if parent is None else space.to_point(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +652,9 @@ _COMMON_ZERO_GRID_RADIUS = 3
 
 
 def _common_zero_on_grid(forms: Sequence[Polynomial]) -> Optional[tuple[int, ...]]:
-    nvars = forms[0].nvars
-    radius = _COMMON_ZERO_GRID_RADIUS
-
-    def tuples(prefix):
-        if len(prefix) == nvars:
-            yield prefix
-            return
-        for v in range(-radius, radius + 1):
-            yield from tuples(prefix + (v,))
-
-    for candidate in tuples(()):
-        if not any(candidate):
-            continue
-        if all(f.evaluate_int(candidate) == 0 for f in forms):
+    side = range(-_COMMON_ZERO_GRID_RADIUS, _COMMON_ZERO_GRID_RADIUS + 1)
+    for candidate in itertools.product(side, repeat=forms[0].nvars):
+        if any(candidate) and all(f.evaluate_int(candidate) == 0 for f in forms):
             return candidate
     return None
 
@@ -403,12 +665,10 @@ def validate_system(system: FractalSystem) -> list[Violation]:
     An empty list means the system is valid.  Violations are data, not
     exceptions: auditing tools want to see all of them at once.
     """
+    space = SPACES.get(system.space)
+    if space is None:
+        return [Violation("UnknownSpace", "system", -1, f"unknown space {system.space!r}")]
     violations: list[Violation] = []
-    if system.space not in SPACES:
-        violations.append(
-            Violation("UnknownSpace", "system", -1, f"unknown space {system.space!r}")
-        )
-        return violations
     if not system.maps:
         violations.append(Violation("NoMaps", "system", -1, "at least one map required"))
     if not system.seeds:
@@ -416,264 +676,74 @@ def validate_system(system: FractalSystem) -> list[Violation]:
     if system.space == "ec" and system.curve is None:
         violations.append(Violation("MissingCurve", "system", -1, "ec system needs a curve"))
 
+    maps = [m for m in system.maps if m.space == system.space]
     for i, map_ in enumerate(system.maps):
         if map_.space != system.space:
-            violations.append(
-                Violation(
-                    "SpaceMismatch",
-                    "map",
-                    i,
-                    f"map {i} lives on {map_.space!r}, system on {system.space!r}",
-                )
-            )
+            message = f"map {i} lives on {map_.space!r}, system on {system.space!r}"
+            violations.append(Violation("SpaceMismatch", "map", i, message))
             continue
-        violations.extend(_validate_map(map_, i, system))
+        violations.extend(
+            Violation(code, "map", i, message) for code, message in map_.problems(system.curve)
+        )
 
     for j, seed in enumerate(system.seeds):
-        if space_of_point(seed) != system.space:
-            violations.append(
-                Violation(
-                    "SpaceMismatch",
-                    "seed",
-                    j,
-                    f"seed {j} lives in {space_of_point(seed)!r}",
-                )
-            )
-            continue
-        if isinstance(seed, ECPoint) and system.curve is not None:
-            if not system.curve.contains(seed):
-                violations.append(
-                    Violation("SeedNotOnCurve", "seed", j, f"seed {seed} not on curve")
-                )
+        seed_space = point_space(seed)
+        if seed_space is not space:
+            message = f"seed {j} lives in {seed_space.name!r}"
+            violations.append(Violation("SpaceMismatch", "seed", j, message))
+        elif space.tuples and any(m.nvars() != len(space.payload(seed)) for m in maps):
+            message = f"seed {j} has {len(space.payload(seed))} coordinates, unlike the maps"
+            violations.append(Violation("BadArity", "seed", j, message))
+        elif system.space == "ec" and system.curve and not system.curve.contains(seed):
+            violations.append(Violation("SeedNotOnCurve", "seed", j, f"seed {seed} not on curve"))
     return violations
-
-
-def _validate_map(map_: SimilarityMap, i: int, system: FractalSystem) -> list[Violation]:
-    out: list[Violation] = []
-    if isinstance(map_, IntAffineMap):
-        if abs(map_.a) <= 1:
-            out.append(
-                Violation("NonExpanding", "map", i, f"|a|={abs(map_.a)} must exceed 1")
-            )
-    elif isinstance(map_, GaussAffineMap):
-        if gauss_norm(map_.a) <= 1:
-            out.append(
-                Violation(
-                    "NonExpanding", "map", i, f"Norm(a)={gauss_norm(map_.a)} must exceed 1"
-                )
-            )
-    elif isinstance(map_, PolyTupleMap):
-        n = map_.nvars()
-        for comp in map_.components:
-            if comp.nvars != n:
-                out.append(
-                    Violation("BadArity", "map", i, "component arity mismatch")
-                )
-                return out
-        if any(c.total_degree() < 1 or not c for c in map_.components):
-            out.append(
-                Violation("DegreeTooLow", "map", i, "components need total degree >= 1")
-            )
-    elif isinstance(map_, ProjHomogMap):
-        forms = map_.forms
-        nvars = forms[0].nvars
-        if any(f.nvars != nvars for f in forms) or len(forms) != nvars:
-            out.append(Violation("BadArity", "map", i, "need n+1 forms in n+1 variables"))
-            return out
-        if any(not f.is_homogeneous() or not f for f in forms):
-            out.append(Violation("NotHomogeneous", "map", i, "all forms must be homogeneous"))
-            return out
-        degrees = {f.total_degree() for f in forms}
-        if len(degrees) != 1:
-            out.append(Violation("MixedDegrees", "map", i, f"form degrees differ: {degrees}"))
-            return out
-        if map_.degree() < 2:
-            # Projective similarity maps must have degree > 1, unlike the
-            # affine case where degree 1 is allowed.
-            out.append(
-                Violation("DegreeTooLow", "map", i, "projective maps need degree >= 2")
-            )
-        if any(not f.has_integer_coefficients() for f in forms):
-            out.append(
-                Violation("NonIntegerForm", "map", i, "forms need integer coefficients")
-            )
-            return out
-        zero = _common_zero_on_grid(forms)
-        if zero is not None:
-            out.append(
-                Violation(
-                    "CommonZeroOnGrid",
-                    "map",
-                    i,
-                    f"forms vanish simultaneously at {zero}",
-                )
-            )
-    elif isinstance(map_, EllTranslateMap):
-        if map_.multiplier < 2:
-            out.append(
-                Violation("NonExpanding", "map", i, "multiplier must be at least 2")
-            )
-        if system.curve is not None and not system.curve.contains(map_.translation):
-            out.append(
-                Violation("TranslationNotOnCurve", "map", i, "translation not on curve")
-            )
-    else:
-        out.append(Violation("UnknownMapKind", "map", i, f"{type(map_)!r}"))
-    return out
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-
-def _parse_int(value) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"expected integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return int(value.strip())
-    raise ConfigError(f"expected integer, got {value!r}")
+_CURVE_KEYS = ("a1", "a2", "a3", "a4", "a6")
 
 
-def _parse_gauss(value) -> GaussPoint:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"Gaussian integer must be [re, im], got {value!r}")
-    return GaussPoint(_parse_int(value[0]), _parse_int(value[1]))
-
-
-def _point_from_json(value, space: str, curve: Optional[Curve]) -> SpacePoint:
-    if space == "int":
-        return IntPoint(_parse_int(value))
-    if space == "gauss":
-        return _parse_gauss(value)
-    if space == "affq":
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"affine point must be a list, got {value!r}")
-        return AffPoint(tuple(parse_rational(v) for v in value))
-    if space == "projq":
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"projective point must be a list, got {value!r}")
-        return canonicalize(ProjPoint(tuple(_parse_int(v) for v in value)))
-    if space == "ec":
-        if value == "inf":
-            return INFINITY
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
-            raise ConfigError(f"curve point must be [x, y] or \"inf\", got {value!r}")
-        return ECPoint(parse_rational(value[0]), parse_rational(value[1]))
-    raise ConfigError(f"unknown space {space!r}")
-
-
-def _point_to_json(point: SpacePoint):
-    if isinstance(point, IntPoint):
-        return str(point.value)
-    if isinstance(point, GaussPoint):
-        return [str(point.re), str(point.im)]
-    if isinstance(point, AffPoint):
-        return [format_rational(c) for c in point.coords]
-    if isinstance(point, ProjPoint):
-        return [str(c) for c in point.coords]
-    if isinstance(point, ECPoint):
-        if point.is_infinity:
-            return "inf"
-        return [format_rational(point.x), format_rational(point.y)]
-    raise ConfigError(f"unknown point type {type(point)!r}")
-
-
-def _map_from_json(record: dict, space: str, curve: Optional[Curve]) -> SimilarityMap:
-    if not isinstance(record, dict) or "kind" not in record:
-        raise ConfigError(f"map record needs a 'kind': {record!r}")
-    kind = record["kind"]
-    if kind == "int_affine":
-        return IntAffineMap(_parse_int(record["a"]), _parse_int(record["b"]))
-    if kind == "gauss_affine":
-        return GaussAffineMap(_parse_gauss(record["a"]), _parse_gauss(record["b"]))
-    if kind == "poly_tuple":
-        comps = record["components"]
-        n = len(comps)
-        return PolyTupleMap(tuple(Polynomial.from_records(c, n) for c in comps))
-    if kind == "proj_homog":
-        forms = record["forms"]
-        n = len(forms)
-        return ProjHomogMap(tuple(Polynomial.from_records(f, n) for f in forms))
-    if kind == "ell_translate":
-        if curve is None:
-            raise ConfigError("ell_translate map requires the system to carry a curve")
-        translation = _point_from_json(record.get("translate", "inf"), "ec", curve)
-        return EllTranslateMap(_parse_int(record["n"]), translation, curve)
-    raise ConfigError(f"unknown map kind {kind!r}")
-
-
-def _map_to_json(map_: SimilarityMap) -> dict:
-    if isinstance(map_, IntAffineMap):
-        return {"kind": map_.kind, "a": str(map_.a), "b": str(map_.b)}
-    if isinstance(map_, GaussAffineMap):
-        return {
-            "kind": map_.kind,
-            "a": [str(map_.a.re), str(map_.a.im)],
-            "b": [str(map_.b.re), str(map_.b.im)],
-        }
-    if isinstance(map_, PolyTupleMap):
-        return {
-            "kind": map_.kind,
-            "components": [c.to_records() for c in map_.components],
-        }
-    if isinstance(map_, ProjHomogMap):
-        return {"kind": map_.kind, "forms": [f.to_records() for f in map_.forms]}
-    if isinstance(map_, EllTranslateMap):
-        return {
-            "kind": map_.kind,
-            "n": str(map_.multiplier),
-            "translate": _point_to_json(map_.translation),
-        }
-    raise ConfigError(f"unknown map type {type(map_)!r}")
+def _map_from_json(record: dict, curve: Optional[Curve]) -> SimilarityMap:
+    kind = record.get("kind")
+    if kind not in MAP_KINDS:
+        raise ConfigError(f"unknown map kind {kind!r} in {record!r}")
+    return MAP_KINDS[kind].from_json(record, curve)
 
 
 def system_from_dict(data: dict) -> FractalSystem:
+    """Build a system from its JSON document; any malformed part of the
+    document raises ConfigError."""
     try:
-        space = data["space"]
-        maps = data["maps"]
-        seeds = data["seeds"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"system document needs space/maps/seeds: {exc}") from exc
-    if space not in SPACES:
-        raise ConfigError(f"unknown space {space!r}")
-    curve = None
-    if "curve" in data and data["curve"] is not None:
-        c = data["curve"]
-        curve = Curve(
-            parse_rational(c.get("a1", 0)),
-            parse_rational(c.get("a2", 0)),
-            parse_rational(c.get("a3", 0)),
-            parse_rational(c.get("a4", 0)),
-            parse_rational(c.get("a6", 0)),
+        space = SPACES.get(data["space"])
+        if space is None:
+            raise ConfigError(f"unknown space {data['space']!r}")
+        curve = None
+        if data.get("curve") is not None:
+            curve = Curve(*(parse_rational(data["curve"].get(k, 0)) for k in _CURVE_KEYS))
+        return FractalSystem(
+            space=space.name,
+            maps=tuple(_map_from_json(m, curve) for m in data["maps"]),
+            seeds=tuple(space.to_point(space.from_json(s)) for s in data["seeds"]),
+            label=data.get("label", ""),
+            curve=curve,
         )
-    return FractalSystem(
-        space=space,
-        maps=tuple(_map_from_json(m, space, curve) for m in maps),
-        seeds=tuple(_point_from_json(s, space, curve) for s in seeds),
-        label=data.get("label", ""),
-        curve=curve,
-    )
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ConfigError(f"malformed system document: {exc!r}") from None
 
 
 def system_to_dict(system: FractalSystem) -> dict:
+    space = SPACES[system.space]
     data = {
         "space": system.space,
         "label": system.label,
-        "maps": [_map_to_json(m) for m in system.maps],
-        "seeds": [_point_to_json(s) for s in system.seeds],
+        "maps": [m.to_json() for m in system.maps],
+        "seeds": [space.to_json(space.payload(s)) for s in system.seeds],
     }
     if system.curve is not None:
-        c = system.curve
-        data["curve"] = {
-            "a1": format_rational(c.a1),
-            "a2": format_rational(c.a2),
-            "a3": format_rational(c.a3),
-            "a4": format_rational(c.a4),
-            "a6": format_rational(c.a6),
-        }
+        data["curve"] = {k: format_rational(getattr(system.curve, k)) for k in _CURVE_KEYS}
     return data
 
 
@@ -697,38 +767,11 @@ def save_system(system: FractalSystem, path) -> None:
 
 def parse_point(text: str, space: str, curve: Optional[Curve] = None) -> SpacePoint:
     """Parse a point literal: "7", "3+4i", "2:3", "1/2,3", "0,0" or "inf"."""
-    text = text.strip()
-    if space == "int":
-        return IntPoint(int(text))
-    if space == "gauss":
-        return _parse_gauss_literal(text)
-    if space == "projq":
-        parts = text.strip("()").split(":")
-        return canonicalize(ProjPoint(tuple(int(p) for p in parts)))
-    if space == "affq":
-        parts = text.strip("()").split(",")
-        return AffPoint(tuple(parse_rational(p) for p in parts))
-    if space == "ec":
-        if text == "inf":
-            return INFINITY
-        parts = text.strip("()").split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"curve point literal must be x,y or inf: {text!r}")
-        return ECPoint(parse_rational(parts[0]), parse_rational(parts[1]))
-    raise ConfigError(f"unknown space {space!r}")
-
-
-def _parse_gauss_literal(text: str) -> GaussPoint:
-    s = text.replace(" ", "")
-    if s.endswith("i"):
-        body = s[:-1]
-        for cut in range(len(body) - 1, 0, -1):
-            if body[cut] in "+-":
-                re_part, im_part = body[:cut], body[cut:]
-                if im_part in ("+", "-"):
-                    im_part += "1"
-                return GaussPoint(int(re_part), int(im_part))
-        if body in ("", "+", "-"):
-            body += "1"
-        return GaussPoint(0, int(body))
-    return GaussPoint(int(s), 0)
+    if space not in SPACES:
+        raise ConfigError(f"unknown space {space!r}")
+    entry = SPACES[space]
+    try:
+        payload = entry.parse(text.strip())
+    except ConfigError as exc:
+        raise ConfigError(f"cannot read {text!r} as a point of {space!r}: {exc}") from None
+    return entry.to_point(entry.canonical(payload))

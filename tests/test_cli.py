@@ -1,10 +1,20 @@
+import contextlib
+import copy
+import io
 import json
+import re
+import shlex
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithfractal import enumerate_system, load_system
 from arithfractal.cli import _write_csv, main
-from arithfractal.corpus import corpus_path
+from arithfractal.corpus import corpus_names, corpus_path
 
 Z_BINARY = str(corpus_path("z-binary"))
 DIGITS01 = str(corpus_path("digits01"))
@@ -237,3 +247,190 @@ def test_rerun_negative_point_value(tmp_path, capsys):
     assert code == 0, err
     assert rerun_out == out
     assert (second / "ec_manifest.json").read_bytes() == manifest.read_bytes()
+
+
+# --- parse-layer and flag-value errors ---------------------------------------
+
+
+def _int_doc(a, b=None):
+    record = {"kind": "int_affine", "a": a}
+    if b is not None:
+        record["b"] = b
+    return {"space": "int", "label": "bad", "maps": [record], "seeds": ["0"]}
+
+
+_Q2_THREE_COORDS = {
+    **json.loads(corpus_path("q2-powers2").read_text()),
+    "seeds": [["1", "1", "1"]],
+}
+_EMPTY_FORMS = {
+    "space": "projq",
+    "label": "bad",
+    "maps": [{"kind": "proj_homog", "forms": []}],
+    "seeds": [["1", "2"]],
+}
+_NO_SUBCOMMAND = {"artifact": "arithfractal", "parameters": {}, "outputs": []}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["member", DIGITS01, "abc"], None),
+        (["height", "1:0:0:x"], None),
+        (["height", "3+xi"], None),
+        (["height", "1/0,2"], None),
+        (["ec", "height", "--curve", "0,0,1,-1,x", "--point", "0,0"], None),
+        (["approx", P1, "--target", "0:x", "--delta", "0.9", "--bound", "1000"], None),
+        (["dim", "{doc}"], _int_doc("2")),  # int_affine record without b
+        (["dim", "{doc}"], _int_doc("1e3", "0")),
+        (["dim", "{doc}"], _EMPTY_FORMS),
+        (["dim", "{doc}"], _Q2_THREE_COORDS),
+        (["member", "{doc}", "1,1,1"], _Q2_THREE_COORDS),
+        (["enumerate", DIGITS01, "--bound", "nan"], None),
+        (["enumerate", DIGITS01, "--bound", "inf"], None),
+        (["growth", DIGITS01, "--bound", "1e3", "--grid", "1,x"], None),
+        (["ec", "neron", "--curve", "0,0,1,-1,0", "--gen", "0,0", "--grid", "a"], None),
+        (["intersect", Q2, "--curve", "x1+x2-6", "--bounds", "1,x"], None),
+        (["rerun", "{doc}"], _NO_SUBCOMMAND),
+    ],
+)
+def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "{doc}" else a for a in argv]
+    code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 2
+    assert "error[ConfigParse]" in err
+
+
+def test_seed_arity_reported_as_bad_arity(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_Q2_THREE_COORDS))
+    _, _, err = run(["--out-dir", str(tmp_path), "dim", str(path)], capsys)
+    assert "BadArity at seed 0" in err
+
+
+def test_rerun_of_census_manifest_with_threads(tmp_path, capsys):
+    # Census manifests written while --threads existed record "threads": 1.
+    first, second = tmp_path / "a", tmp_path / "b"
+    code, _, _ = run(
+        ["--out-dir", str(first), "census", "--n", "1", "--bound", "100",
+         "--compare-schanuel"],
+        capsys,
+    )
+    assert code == 0
+    manifest = first / "census_manifest.json"
+    old = json.loads(manifest.read_text())
+    old["parameters"]["threads"] = 1
+    manifest.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    code, _, err = run(["--out-dir", str(second), "rerun", str(manifest)], capsys)
+    assert code == 0, err
+    assert (second / "census.csv").read_bytes() == (first / "census.csv").read_bytes()
+
+
+def test_zero_image_is_analysis_error(tmp_path, capsys):
+    # (x^2 - 16y^2 : xy - 4y^2) vanishes at (4:1), off the validation grid.
+    doc = {
+        "space": "projq",
+        "label": "zero-at-4-1",
+        "maps": [{"kind": "proj_homog", "forms": [
+            [{"coeff": "1", "exponents": [2, 0]}, {"coeff": "-16", "exponents": [0, 2]}],
+            [{"coeff": "1", "exponents": [1, 1]}, {"coeff": "-4", "exponents": [0, 2]}],
+        ]}],
+        "seeds": [["4", "1"]],
+    }
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["enumerate", str(path), "--bound", "100"],
+                 ["audit", str(path), "--bound", "100"],
+                 ["audit", str(path), "--bound", "10", "--window", "ambient"]):
+        code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+        assert code == 3
+        assert "ZeroProjectivePoint" in err and "map 0 sends (4:1)" in err
+
+
+# --- fuzzed documents and literals -------------------------------------------
+
+_CORPUS_DOCS = [json.loads(corpus_path(n).read_text()) for n in corpus_names()]
+_LITERALS = st.text(alphabet="0123456789-+/:,i() x", max_size=10)
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 4),
+    st.sampled_from(["", "x", "1e3", "1/0", "inf", "-2", "3/2", "0"]),
+    st.lists(st.sampled_from(["0", "1", "2", "x"]), max_size=3),
+    st.just({}),
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+def _mutate(doc, path, value):
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value == "<delete>":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_documents_and_literals_exit_cleanly(data):
+    doc = data.draw(st.sampled_from(_CORPUS_DOCS))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(st.one_of(_VALUES, st.just("<delete>")))
+    literal = data.draw(_LITERALS)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = Path(tmp) / "doc.json"
+        doc_path.write_text(json.dumps(_mutate(doc, path, value)))
+        for argv in (["dim", str(doc_path)],
+                     ["member", str(doc_path), "--", literal],
+                     ["height", "--", literal]):
+            code, err = _run_quiet(["--out-dir", tmp] + argv)
+            assert code in (0, 2, 3)
+            if code:
+                assert "error[" in err and "Traceback" not in err
+
+
+# --- README ------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _readme_command_lines():
+    section = (REPO / "README.md").read_text().split("## Command line", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
+    return [line for line in blocks[-1].splitlines() if line.startswith("arithfractal ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    shutil.copytree(REPO / "corpus", tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_command_lines()
+    assert len(lines) > 10
+    for line in lines:
+        code = main(shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, capsys.readouterr().err)

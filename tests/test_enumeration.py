@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from arithfractal import (
     CORPUS,
+    AffPoint,
     FractalSystem,
     IntAffineMap,
     IntPoint,
@@ -19,7 +20,11 @@ from arithfractal import (
     parse_polynomial,
     replay_certificate,
 )
-from arithfractal.errors import ConfigError, UnsupportedSpaceError
+from arithfractal.errors import (
+    ConfigError,
+    UnsupportedSpaceError,
+    ZeroProjectivePointError,
+)
 from arithfractal.spaces import system_from_dict
 
 
@@ -164,6 +169,14 @@ def test_member_agrees_with_enumeration_window(digits012):
         assert result.member == (m in members)
         if result.member:
             assert replay_certificate(digits012, result) == IntPoint(m)
+
+
+def test_member_point_of_other_arity(q2_powers2):
+    # (1,1,1) is no point of the plane; descent must not drop its last
+    # coordinate and certify the seed (1,1).
+    three = AffPoint((Fraction(1), Fraction(1), Fraction(1)))
+    assert not is_member(q2_powers2, three).member
+    assert not is_member(q2_powers2, AffPoint((Fraction(4), Fraction(16), Fraction(5)))).member
 
 
 def test_member_fallback_for_projective(p1_doubling):
@@ -352,3 +365,33 @@ def test_intersection_hyperbola(q2_powers2):
 def test_intersection_requires_affine(z_binary):
     with pytest.raises(UnsupportedSpaceError):
         curve_intersection_probe(z_binary, parse_polynomial("x1", 1), [10])
+
+
+# --- a map that sends an orbit point to (0:...:0) ------------------------------
+
+
+def _form(*terms):
+    return [{"coeff": c, "exponents": e} for c, e in terms]
+
+
+def test_zero_image_names_map_and_point():
+    # (x^2 - 16y^2 : xy - 4y^2) vanishes at (4:1), which lies off the
+    # radius-3 grid of the common-zero check, so the system validates.
+    system = system_from_dict({
+        "space": "projq",
+        "label": "zero-at-4-1",
+        "maps": [{"kind": "proj_homog", "forms": [
+            _form(("1", [2, 0]), ("-16", [0, 2])),
+            _form(("1", [1, 1]), ("-4", [0, 2])),
+        ]}],
+        "seeds": [["4", "1"]],
+    })
+    with pytest.raises(ZeroProjectivePointError):
+        apply(system.maps[0], ProjPoint((4, 1)))
+    message = r"map 0 sends \(4:1\) to \(0:\.\.\.:0\)"
+    with pytest.raises(ZeroProjectivePointError, match=message):
+        enumerate_system(system, 100)
+    with pytest.raises(ZeroProjectivePointError, match=message):
+        audit_exactness(system, 100)
+    with pytest.raises(ZeroProjectivePointError, match=message):
+        audit_exactness(system, 10, window="ambient")

@@ -145,10 +145,6 @@ def test_census_monotone():
     assert counts == sorted(counts)
 
 
-def test_census_partition_independent():
-    assert projective_census(1, 137, threads=1) == projective_census(1, 137, threads=7)
-
-
 def test_census_matches_schanuel_at_scale():
     density = 12 / math.pi**2
     n100 = projective_census(1, 100)

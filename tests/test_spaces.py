@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arithfractal import (
+    INFINITY,
     AffPoint,
+    Curve,
     FractalSystem,
     GaussAffineMap,
     GaussPoint,
@@ -15,6 +17,8 @@ from arithfractal import (
     ProjPoint,
     apply,
     canonicalize,
+    ec_point,
+    enumerate_system,
     load_corpus_system,
     preimage,
     system_from_dict,
@@ -27,7 +31,7 @@ from arithfractal.errors import (
     UnsupportedMapKindError,
     ZeroProjectivePointError,
 )
-from arithfractal.spaces import PolyTupleMap, parse_point
+from arithfractal.spaces import EllTranslateMap, PolyTupleMap, parse_point
 from arithfractal.polynomials import Polynomial
 
 
@@ -234,3 +238,31 @@ def test_parse_point_literals():
     assert parse_point("-i", "gauss") == GaussPoint(0, -1)
     assert parse_point("2:4", "projq") == ProjPoint((1, 2))
     assert parse_point("1/2,3", "affq") == AffPoint((Fraction(1, 2), Fraction(3)))
+
+
+# --- hand-computed images ---------------------------------------------------
+# apply and the enumerator share one image closure per map, so these values
+# are worked out by hand rather than compared against either of them.
+
+
+def test_gauss_image_by_hand():
+    # (1+i)(2+3i) + 1 = 2 + 3i + 2i - 3 + 1 = 5i
+    f = GaussAffineMap(GaussPoint(1, 1), GaussPoint(1, 0))
+    assert apply(f, GaussPoint(2, 3)) == GaussPoint(0, 5)
+    # Next image: (1+i)5i + 1 = -4+5i, of norm 41 > 25.
+    system = FractalSystem("gauss", (f,), (GaussPoint(2, 3),), "one-step")
+    bag = enumerate_system(system, 25)
+    assert [(e.point, e.size.raw, e.depth) for e in bag.entries] == [
+        (GaussPoint(2, 3), 13, 0),
+        (GaussPoint(0, 5), 25, 1),
+    ]
+
+
+def test_elliptic_images_by_hand():
+    # 37a: y^2 + y = x^3 - x with P = (0,0); the tangent at P has slope -1,
+    # so [2]P = (1,0), and the chord through (1,0) and P is y = 0, so
+    # [2]P + P = (-1,-1).
+    curve = Curve.from_coefficients([0, 0, 1, -1, 0])
+    p = ec_point(0, 0)
+    assert apply(EllTranslateMap(2, INFINITY, curve), p) == ec_point(1, 0)
+    assert apply(EllTranslateMap(2, p, curve), p) == ec_point(-1, -1)
