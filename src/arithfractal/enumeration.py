@@ -16,7 +16,6 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -56,12 +55,15 @@ class PointBag:
 
     The ordered views (``entries``, ``points``) list points by (size,
     coordinate order), so a bag at a smaller bound is a prefix of the bag
-    at a larger one.  The bag keeps its payload records in discovery order
-    and sorts them on the first ordered access; ``raw_sizes`` and
-    ``log_sizes`` sort plain ints instead, so counting never pays for the
-    full record sort.  The million-point bags
-    keep their payload form internally; ``entries`` materializes the
-    wrapped points on first access.
+    at a larger one.  Until the first ordered access the bag holds one
+    ``(size, payload, depth)`` record per point, in discovery order.
+    ``entries`` sorts those records in their natural tuple order (size
+    first, then payload; payloads are distinct) and replaces each one by
+    its ``BagEntry`` in the same list, so the bag never holds a record and
+    an entry for one point; consecutive entries of equal size share one
+    ``SizeValue``.  ``len``, ``raw_sizes``, ``log_sizes`` and
+    ``has_payload`` read either form, so counting and membership never pay
+    for materialization.
     """
 
     def __init__(self, label, space, bound, size_kind, records, to_point, truncated):
@@ -70,40 +72,55 @@ class PointBag:
         self.bound = bound
         self.size_kind = size_kind
         self.truncated = truncated
-        self._records = records  # [(payload, size, depth)], sorted with entries
+        # [(size, payload, depth)] until `entries` turns it into the entries
+        self._items = records
+        self._materialized = False
         self._to_point = to_point
-        self._entries: Optional[list[BagEntry]] = None
 
     def __len__(self):
-        return len(self._records)
+        return len(self._items)
 
     @property
     def entries(self) -> list[BagEntry]:
-        if self._entries is None:
-            records = self._records
+        items = self._items
+        if not self._materialized:
             to_point = self._to_point
             log = math.log
+            last = size_value = None
             gc.disable()
             try:
-                records.sort(key=itemgetter(1, 0))
-                self._entries = [
-                    BagEntry(to_point(p), SizeValue(s, log(s) if s > 1 else 0.0), d)
-                    for p, s, d in records
-                ]
+                items.sort()
+                for i, (s, p, d) in enumerate(items):
+                    if s != last:
+                        last = s
+                        size_value = SizeValue(s, log(s) if s > 1 else 0.0)
+                    items[i] = BagEntry(to_point(p), size_value, d)
+                self._materialized = True
             finally:
                 gc.enable()
-        return self._entries
+        return items
 
     def points(self) -> list[SpacePoint]:
         return [e.point for e in self.entries]
 
     def raw_sizes(self) -> list[int]:
-        """Sizes in nondecreasing order (a linear pass once entries exist)."""
-        return sorted([s for _, s, _ in self._records])
+        """Sizes in nondecreasing order (a linear read once entries exist)."""
+        if self._materialized:
+            return [e.size.raw for e in self._items]
+        return sorted([r[0] for r in self._items])
 
     def log_sizes(self) -> list[float]:
+        if self._materialized:
+            return [e.size.log_size for e in self._items]
         log = math.log
         return [log(s) if s > 1 else 0.0 for s in self.raw_sizes()]
+
+    def has_payload(self, payload) -> bool:
+        """Whether the bag holds the point with this canonical payload."""
+        if self._materialized:
+            point = self._to_point(payload)
+            return any(e.point == point for e in self._items)
+        return any(r[1] == payload for r in self._items)
 
     def max_log_bound(self) -> float:
         return math.log(self.bound) if self.bound > 1 else 0.0
@@ -147,8 +164,9 @@ def _raw_orbit(
     max_points: int,
     counts: Optional[dict] = None,
 ) -> tuple[list, bool]:
-    """BFS closure on payloads; records are (payload, size, depth) in
-    discovery order.
+    """BFS closure on payloads; records are (size, payload, depth) in
+    discovery order, size first so that their natural tuple order is the
+    bag's (size, coordinate) order.
 
     When a ``counts`` dict is supplied, every repeat hit is tallied there:
     an in-bound image that is already a seed or already discovered.  A
@@ -162,7 +180,7 @@ def _raw_orbit(
     size_fn = space.size
     frontier = list(dict.fromkeys(seeds))
     seen = set(frontier)
-    records = [(p, size_fn(p), 0) for p in frontier]  # (payload, size, depth)
+    records = [(size_fn(p), p, 0) for p in frontier]  # (size, payload, depth)
 
     depth = 0
     truncated = False
@@ -193,7 +211,7 @@ def _raw_orbit(
                             counts[child] = counts.get(child, 0) + 1
                         continue
                     seen_add(child)
-                    rec_append((child, child_size, depth))
+                    rec_append((child_size, child, depth))
                     next_append(child)
                     if len(records) >= max_points:
                         truncated = True
@@ -254,7 +272,8 @@ def is_member(
 
     Uses backward descent through exact preimages when every map supports
     one.  Otherwise the decision falls back to an enumerated bag whose
-    bound must cover the queried point (flagged in the result).
+    bound must cover the queried point (flagged in the result); a point
+    missing from a truncated bag raises UndecidedError.
     """
     space = point_space(point)
     if space.name != system.space:
@@ -268,7 +287,12 @@ def is_member(
         if bag is None or bag.bound < size:
             seed_sizes = [space.size(space.payload(s)) for s in system.seeds]
             bag = enumerate_system(system, max([size, 1] + seed_sizes))
-        member = any(record[0] == payload for record in bag._records)
+        member = bag.has_payload(payload)
+        if not member and bag.truncated:
+            raise UndecidedError(
+                f"{space.to_point(payload)} is not among the {len(bag)} points of "
+                f"a bag truncated below bound {bag.bound}"
+            )
         return MembershipResult(member, None, (), True)
 
 
@@ -380,7 +404,7 @@ def audit_exactness(
         # discovery, so the BFS tallies only repeat hits (see _raw_orbit)
         # and nothing is uncovered.
         records, _ = _raw_orbit(compiled, bound_int, DEFAULT_MAX_POINTS, counts=counts)
-        payloads = [rec[0] for rec in records]
+        payloads = [rec[1] for rec in records]
         seed_payloads = set(seeds)
         seeds_hit = sum(1 for s in seed_payloads if s in counts)
         covered_count = len(payloads) - len(seed_payloads) + seeds_hit

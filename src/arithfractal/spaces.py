@@ -713,6 +713,13 @@ def _map_from_json(record: dict, curve: Optional[Curve]) -> SimilarityMap:
     return MAP_KINDS[kind].from_json(record, curve)
 
 
+def _seed_from_json(space: Space, index: int, value) -> SpacePoint:
+    try:
+        return space.to_point(space.canonical(space.from_json(value)))
+    except ZeroProjectivePointError as exc:
+        raise ConfigError(f"seed {index}: {exc}") from None
+
+
 def system_from_dict(data: dict) -> FractalSystem:
     """Build a system from its JSON document; any malformed part of the
     document raises ConfigError."""
@@ -726,7 +733,7 @@ def system_from_dict(data: dict) -> FractalSystem:
         return FractalSystem(
             space=space.name,
             maps=tuple(_map_from_json(m, curve) for m in data["maps"]),
-            seeds=tuple(space.to_point(space.from_json(s)) for s in data["seeds"]),
+            seeds=tuple(_seed_from_json(space, j, s) for j, s in enumerate(data["seeds"])),
             label=data.get("label", ""),
             curve=curve,
         )
@@ -771,7 +778,7 @@ def parse_point(text: str, space: str, curve: Optional[Curve] = None) -> SpacePo
         raise ConfigError(f"unknown space {space!r}")
     entry = SPACES[space]
     try:
-        payload = entry.parse(text.strip())
-    except ConfigError as exc:
+        payload = entry.canonical(entry.parse(text.strip()))
+    except (ConfigError, ZeroProjectivePointError) as exc:
         raise ConfigError(f"cannot read {text!r} as a point of {space!r}: {exc}") from None
-    return entry.to_point(entry.canonical(payload))
+    return entry.to_point(payload)

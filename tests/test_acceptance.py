@@ -5,6 +5,7 @@ lines and measured values.  Every tolerance is pinned here.
 """
 
 import math
+import resource
 import time
 from fractions import Fraction
 
@@ -62,8 +63,10 @@ class Criterion:
         elapsed = time.perf_counter() - self.start
         status = "PASS" if exc_type is None else "FAIL"
         detail = "; ".join(self.notes)
+        # Linux reports ru_maxrss in KiB; the process peak so far, not this criterion's.
+        peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{status} criterion {self.number}: {self.title} "
-              f"[{elapsed:.2f}s / {self.budget}s] {detail}")
+              f"[{elapsed:.2f}s / {self.budget}s; peak RSS so far {peak_mib:.0f} MiB] {detail}")
         if exc_type is None:
             assert elapsed < self.budget, (
                 f"criterion {self.number} exceeded its runtime budget: "

@@ -270,6 +270,10 @@ _EMPTY_FORMS = {
     "seeds": [["1", "2"]],
 }
 _NO_SUBCOMMAND = {"artifact": "arithfractal", "parameters": {}, "outputs": []}
+_ZERO_SEED = {
+    **json.loads(corpus_path("p1-doubling").read_text()),
+    "seeds": [["1", "2"], ["0", "0"]],
+}
 
 
 @pytest.mark.parametrize(
@@ -292,6 +296,9 @@ _NO_SUBCOMMAND = {"artifact": "arithfractal", "parameters": {}, "outputs": []}
         (["ec", "neron", "--curve", "0,0,1,-1,0", "--gen", "0,0", "--grid", "a"], None),
         (["intersect", Q2, "--curve", "x1+x2-6", "--bounds", "1,x"], None),
         (["rerun", "{doc}"], _NO_SUBCOMMAND),
+        (["height", "0:0"], None),
+        (["member", P1, "0:0"], None),
+        (["dim", "{doc}"], _ZERO_SEED),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
@@ -302,6 +309,16 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
     assert code == 2
     assert "error[ConfigParse]" in err
+
+
+def test_zero_projective_input_named(tmp_path, capsys):
+    for argv in (["height", "0:0"], ["member", P1, "0:0"]):
+        _, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+        assert "cannot read '0:0' as a point of 'projq'" in err
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_ZERO_SEED))
+    _, _, err = run(["--out-dir", str(tmp_path), "dim", str(path)], capsys)
+    assert "seed 1: all projective coordinates are zero" in err
 
 
 def test_seed_arity_reported_as_bad_arity(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,11 @@ from arithfractal import (
 )
 from arithfractal.errors import (
     ConfigError,
+    UndecidedError,
     UnsupportedSpaceError,
     ZeroProjectivePointError,
 )
-from arithfractal.spaces import system_from_dict
+from arithfractal.spaces import SPACES, system_from_dict
 
 
 def digit_oracle(bound, digits):
@@ -83,13 +85,46 @@ def test_bag_sorted_and_deduplicated(q2_powers2):
 
 @pytest.mark.parametrize("name", ["z-2x3x", "gauss-base", "p1-powers2-full", "q2-powers2"])
 def test_sizes_same_before_and_after_ordering(name):
-    # Sizes come from an int sort until entries sorts the records themselves.
-    bag = enumerate_system(load_corpus_system(name), 2**8)
+    # Sizes and membership read the records until entries replaces them.
+    system = load_corpus_system(name)
+    space = SPACES[system.space]
+    probes = [space.payload(e.point) for e in enumerate_system(system, 2**9).entries]
+    bag = enumerate_system(system, 2**8)
+    length = len(bag)
     sizes = bag.raw_sizes()
     logs = bag.log_sizes()
+    held = [bag.has_payload(p) for p in probes]
+    assert held == [space.size(p) <= 2**8 for p in probes]
+    assert 0 < sum(held) < len(probes)
     assert [e.size.raw for e in bag.entries] == sizes
+    assert len(bag) == length == len(bag.entries)
     assert bag.raw_sizes() == sizes
     assert bag.log_sizes() == logs == [e.size.log_size for e in bag.entries]
+    assert [bag.has_payload(p) for p in probes] == held
+
+
+def test_entries_share_one_size_value_per_size(gauss_base):
+    entries = enumerate_system(gauss_base, 2**10).entries
+    distinct = {id(e.size) for e in entries}
+    assert len(distinct) == len({e.size.raw for e in entries}) < len(entries)
+
+
+def test_entries_peak_memory_within_enumeration_peak(gauss_base):
+    # Entries replace the records in place, so materializing never holds a
+    # record and an entry for the same point at once.
+    tracemalloc.start()
+    try:
+        bag = enumerate_system(gauss_base, 2**14)
+        _, enumeration_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert len(bag.entries) == len(bag)
+        _, entries_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert entries_peak <= enumeration_peak, (
+        f"{entries_peak / len(bag):.0f} B/point reading entries against "
+        f"{enumeration_peak / len(bag):.0f} B/point enumerating"
+    )
 
 
 def test_size_ties_in_coordinate_order(gauss_base):
@@ -183,6 +218,28 @@ def test_member_fallback_for_projective(p1_doubling):
     result = is_member(p1_doubling, ProjPoint((1, 16)))
     assert result.member and result.via_fallback
     assert not is_member(p1_doubling, ProjPoint((3, 1))).member
+
+
+def test_member_fallback_same_with_any_bag(p1_full):
+    queries = [ProjPoint(c) for c in ((1, 1), (2, 1), (1, 2), (16, 1), (1, 256), (3, 1),
+                                      (1, 3), (2, 3), (1024, 1), (512, 1), (1, 1024))]
+    fresh = enumerate_system(p1_full, 2**10)
+    read = enumerate_system(p1_full, 2**10)
+    assert len(read.entries) == len(read)
+    answers = [is_member(p1_full, q).member for q in queries]
+    assert [is_member(p1_full, q, fallback_bag=fresh).member for q in queries] == answers
+    assert [is_member(p1_full, q, fallback_bag=read).member for q in queries] == answers
+    assert 0 < sum(answers) < len(queries)
+
+
+def test_member_fallback_truncated_bag_undecided(p1_full):
+    truncated = enumerate_system(p1_full, 2**20, max_points=5)
+    assert truncated.truncated
+    assert is_member(p1_full, ProjPoint((1, 1)), fallback_bag=truncated).member
+    message = r"\(1048576:1\) is not among the 5 points of a bag truncated below bound 1048576"
+    with pytest.raises(UndecidedError, match=message):
+        is_member(p1_full, ProjPoint((2**20, 1)), fallback_bag=truncated)
+    assert is_member(p1_full, ProjPoint((2**20, 1))).member
 
 
 # --- exactness audit ---------------------------------------------------------
