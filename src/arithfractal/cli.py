@@ -29,7 +29,7 @@ from .dimension import (
     reciprocal_sum_audit,
     solve_dimension,
 )
-from .elliptic import Curve, ECPoint, canonical_height, neron_count
+from .elliptic import Curve, canonical_height, neron_count
 from .enumeration import (
     audit_exactness,
     curve_intersection_probe,
@@ -102,12 +102,6 @@ def _parse_curve(text: str) -> Curve:
     if len(parts) != 5:
         raise ConfigError(f"curve must be a1,a2,a3,a4,a6: {text!r}")
     return Curve.from_coefficients([parse_rational(p) for p in parts])
-
-
-def _parse_ec_point(text: str, curve: Curve) -> ECPoint:
-    point = parse_point(text, "ec", curve)
-    curve.require(point)
-    return point
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +490,7 @@ def _cmd_ec(args, out_dir: Path) -> int:
     if args.ec_command == "height":
         if not args.point:
             raise ConfigError("ec height needs --point")
-        point = _parse_ec_point(args.point, curve)
+        point = parse_point(args.point, "ec", curve)
         result = canonical_height(curve, point, args.tol)
         print(f"curve: {curve}")
         print(f"point: {point}")
@@ -514,12 +508,12 @@ def _cmd_ec(args, out_dir: Path) -> int:
     if args.ec_command == "neron":
         if not args.gen or not args.grid:
             raise ConfigError("ec neron needs --gen and --grid")
-        generator = _parse_ec_point(args.gen, curve)
+        generator = parse_point(args.gen, "ec", curve)
         torsion = []
         if args.torsion:
             for chunk in args.torsion.split(";"):
                 if chunk.strip():
-                    torsion.append(_parse_ec_point(chunk, curve))
+                    torsion.append(parse_point(chunk, "ec", curve))
         grid = _numbers(args.grid, "--grid")
         result = neron_count(curve, generator, torsion, grid, args.tol)
         out = Path(args.out) if args.out else out_dir / "neron.csv"
@@ -527,7 +521,10 @@ def _cmd_ec(args, out_dir: Path) -> int:
         _write_csv(out, ["x", "count"], rows)
         print(f"generator height: {fmt(result.generator_height)}")
         print(f"fitted exponent: {fmt(result.fit.exponent)} (rmse {fmt(result.fit.rmse)})")
-        print(f"spot-check max delta: {fmt(result.spot_check_max_delta)}")
+        print(
+            f"spot-check max delta: {fmt(result.spot_check_max_delta)} "
+            f"(bound {fmt(result.spot_check_bound)})"
+        )
         _write_manifest(
             out_dir,
             "ec",
@@ -605,10 +602,9 @@ def _cmd_rerun(args, out_dir: Path) -> int:
         if key in params and params[key] is not None:
             argv.append(f"--{key}={params.pop(key)}")
     argv.append(sub)
-    for key in _POSITIONAL_PARAMS[sub]:
-        value = params.pop(key, None)
-        if value is not None:
-            argv.append(str(value))
+    positionals = [
+        str(params.pop(key)) for key in _POSITIONAL_PARAMS[sub] if params.get(key) is not None
+    ]
     for key, value in params.items():
         if value is None or value is False or value == "":
             continue
@@ -619,6 +615,9 @@ def _cmd_rerun(args, out_dir: Path) -> int:
         flag = "--" + key.replace("_", "-")
         # --flag=value keeps a value such as "-1,-1" from reading as a flag.
         argv.append(flag if value is True else f"{flag}={value}")
+    # After "--" a positional such as "-1+2i" cannot read as a flag either.
+    if positionals:
+        argv += ["--", *positionals]
     return main(argv)
 
 

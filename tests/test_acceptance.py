@@ -251,7 +251,9 @@ def test_criterion_10_elliptic_suite():
         grid = [height.value * 2**t for t in range(4, 13)]
         result = neron_count(curve, gen, [], grid)
         assert abs(result.fit.exponent - 0.5) < 0.05
-        c.note(f"h(P)={height.value:.6f} (m={height.doublings}); "
+        regulator = 0.0511114082399688  # 37a1, Cremona's tables and LMFDB 37.a1
+        c.note(f"|h(P)-R|={abs(height.value - regulator):.1e} "
+               f"({height.doublings} series terms); "
                f"|h(2P)-4h(P)|={quad_delta:.2e}; defect={defect:.2e}; "
                f"neron fit={result.fit.exponent:.4f}")
 

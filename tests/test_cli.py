@@ -249,6 +249,23 @@ def test_rerun_negative_point_value(tmp_path, capsys):
     assert (second / "ec_manifest.json").read_bytes() == manifest.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["member", str(corpus_path("gauss-base")), "--", "-1+2i"], ["height", "--", "-1+2i"]],
+)
+def test_rerun_negative_positional_point(tmp_path, capsys, argv):
+    # A positional literal that starts with "-" is replayed after "--".
+    first = tmp_path / "a"
+    second = tmp_path / "b"
+    code, out, _ = run(["--out-dir", str(first)] + argv, capsys)
+    assert code == 0
+    manifest = first / f"{argv[0]}_manifest.json"
+    code, rerun_out, err = run(["--out-dir", str(second), "rerun", str(manifest)], capsys)
+    assert code == 0, err
+    assert rerun_out == out
+    assert (second / manifest.name).read_bytes() == manifest.read_bytes()
+
+
 # --- parse-layer and flag-value errors ---------------------------------------
 
 

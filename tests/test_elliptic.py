@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -16,7 +17,6 @@ from arithfractal import (
     neron_count,
     parallelogram_defect,
 )
-from arithfractal.elliptic import x_height
 from arithfractal.errors import (
     GeneratorIsTorsionError,
     PointNotOnCurveError,
@@ -105,16 +105,82 @@ def test_height_convergence_and_value(curve_37a, gen):
     assert result.value == pytest.approx(0.0511, abs=1e-3)
 
 
+# Regulator of 37a1 (Cremona's tables, LMFDB 37.a1): the height of (0,0).
+REGULATOR_37A = 0.0511114082399688
+
+
 def test_height_limit_definition(curve_37a, gen):
-    # Recompute 4^-m h(x(2^m P)) directly and compare with the library.
+    # Independent oracle: 4^-m h(x(2^m P)) by exact doubling.  Silverman's
+    # bound on the Weil-canonical difference (Math. Comp. 55 (1990)),
+    # -(1/8)h(j) - (1/12)h(Delta) - 0.973 <= h^(P) - h(x(P))/2
+    # <= (1/12)h(j) + (1/12)h(Delta) + 1.07 in his normalization, doubled for
+    # this one, bounds |h^(2^m P) - h(x(2^m P))|; divide it by 4^m.
+    delta = curve_37a.discriminant()
+    b2, b4, _, _ = curve_37a.b_invariants()
+    j = (b2 * b2 - 24 * b4) ** 3 / delta
+    h_j = math.log(max(abs(j.numerator), j.denominator))
+    h_delta = math.log(abs(delta))
+    difference_bound = 2 * (h_j / 8 + h_delta / 12 + 1.07)
+    certified = canonical_height(curve_37a, gen, tol=1e-12).value
     current = gen
-    for m in range(1, 7):
+    for m in range(1, 11):
         current = ec_add(curve_37a, current, current)
-    by_hand = x_height(current) / 4.0**6
-    result = canonical_height(
-        curve_37a, gen, tol=math.inf, min_doublings=6, max_doublings=6
-    )
-    assert result.value == by_hand
+        if m in (6, 10):
+            x = current.x
+            by_hand = math.log(max(abs(x.numerator), x.denominator)) / 4.0**m
+            assert abs(by_hand - certified) <= difference_bound / 4.0**m + 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_height_certified_against_regulator(curve_37a, gen, tol):
+    for n in range(1, 9):
+        result = canonical_height(curve_37a, ec_mul(curve_37a, n, gen), tol)
+        assert abs(result.value - n * n * REGULATOR_37A) <= tol
+        assert result.doublings <= 40
+
+
+def _transform(curve, point, u, r, s, t):
+    """The model x = u^2 x' + r, y = u^3 y' + s u^2 x' + t and P on it."""
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    new = Curve.from_coefficients([
+        (a1 + 2 * s) / u,
+        (a2 - s * a1 + 3 * r - s * s) / u**2,
+        (a3 + r * a1 + 2 * t) / u**3,
+        (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
+        (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6,
+    ])
+    x = (point.x - r) / u**2
+    y = (point.y - s * (point.x - r) - t) / u**3
+    moved = ec_point(x, y)
+    assert new.contains(moved)
+    return new, moved
+
+
+@pytest.mark.parametrize(
+    "u, r, s, t",
+    [
+        # a_i -> 2^i a_i: (0,0) reduces to the singular point mod 2, as do
+        # 2P, 3P and 4P, so the height comes from 5P.
+        (Fraction(1, 2), 0, 0, 0),
+        # a rational model, scaled to an integral one inside the height
+        (Fraction(2), 0, 0, 0),
+        (1, Fraction(3), Fraction(-2), Fraction(5)),
+    ],
+)
+def test_height_model_invariance(curve_37a, gen, u, r, s, t):
+    tol = 1e-10
+    for n in (1, 2, 3):
+        point = ec_mul(curve_37a, n, gen)
+        model, moved = _transform(curve_37a, point, Fraction(u), r, s, t)
+        result = canonical_height(model, moved, tol)
+        assert abs(result.value - n * n * REGULATOR_37A) <= tol
+
+
+def test_height_below_float_precision_raises(curve_37a, gen):
+    with pytest.raises(PrecisionNotReachedError):
+        canonical_height(curve_37a, gen, tol=1e-16)
+    with pytest.raises(PrecisionNotReachedError):
+        canonical_height(curve_37a, gen, tol=0.0)
 
 
 def test_quadratic_scaling(curve_37a, gen):
@@ -133,8 +199,7 @@ def test_torsion_point_reports_zero():
 
 
 def test_unreachable_precision_raises(curve_37a, gen):
-    # Successive deltas stay above 1e-7 through m=6, so a 1e-9 request
-    # cannot be met under this doubling cap.
+    # Certifying 1e-9 takes more than six series terms.
     with pytest.raises(PrecisionNotReachedError):
         canonical_height(curve_37a, gen, tol=1e-9, max_doublings=6)
 
@@ -148,6 +213,14 @@ def test_parallelogram_small_defect(curve_37a, gen):
     three = ec_mul(curve_37a, 3, gen)
     for p, q in [(gen, two), (gen, three), (two, three)]:
         assert parallelogram_defect(curve_37a, p, q, tol) < 10 * tol
+
+
+def test_parallelogram_defect_on_random_multiples(curve_37a, gen):
+    rng = random.Random(7)
+    for _ in range(12):
+        m, n = rng.randint(-6, 6), rng.randint(-6, 6)
+        p, q = ec_mul(curve_37a, m, gen), ec_mul(curve_37a, n, gen)
+        assert parallelogram_defect(curve_37a, p, q, 1e-12) < 1e-12
 
 
 def test_parallelogram_with_infinity(curve_37a, gen):
@@ -177,6 +250,8 @@ def test_neron_fit_square_root_growth(curve_37a, gen):
     result = neron_count(curve_37a, gen, [], grid)
     assert abs(result.fit.exponent - 0.5) < 0.05
     assert result.spot_check_max_delta < 1e-2
+    # the bound is (1 + n^2) tol for some sampled n in 2..8
+    assert result.spot_check_max_delta <= result.spot_check_bound <= 65e-3
 
 
 def test_neron_tail_counts_scale_like_sqrt(curve_37a, gen):

@@ -171,8 +171,13 @@ def test_census_p2_small():
                     seen.add(t)
         return len(seen)
 
-    for bound in (1, 2, 5):
+    for bound in range(1, 9):
         assert projective_census(2, bound) == brute(bound)
+
+
+@given(st.integers(0, 2000))
+def test_census_p1_matches_totient_oracle(bound):
+    assert projective_census(1, bound) == totient_oracle_p1(bound)
 
 
 def test_census_bound_guard():
