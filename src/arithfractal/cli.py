@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-One subcommand per analysis; every run writes a manifest next to its
-outputs recording the inputs, parameters, and artifact version, and a
-rerun from that manifest reproduces byte-identical files.  Tables are
+One subcommand per analysis, declared once in ``build_parser``: its
+handler, positionals and flags.  Every run writes a manifest next to its
+outputs recording the parsed parameters and artifact version, and a rerun
+from that manifest reproduces byte-identical files.  Tables are
 CSV, verdicts are JSON, and numbers are serialized with 15 significant
 digits.
 
@@ -71,18 +72,32 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out_dir: Path, subcommand: str, params: dict, outputs: list[str]) -> Path:
+# Namespace entries that are not subcommand parameters; --tol is recorded
+# only by the subcommands declared with reads_tol.
+_NOT_PARAMETERS = ("out_dir", "tol", "command", "handler", "reads_tol")
+
+
+def _write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[str]) -> None:
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS and v is not None}
+    if args.reads_tol:
+        params["tol"] = args.tol
     manifest = {
         "artifact": "arithfractal",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "parameters": params,
         "outputs": outputs,
         "deterministic": True,
     }
-    path = out_dir / f"{subcommand}_manifest.json"
-    _write_json(path, manifest)
-    return path
+    _write_json(out_dir / f"{args.command}_manifest.json", manifest)
+
+
+def _out(args: argparse.Namespace, out_dir: Path, default: str) -> Path:
+    """The --out file, else ``default`` in the output directory; the
+    resolved path is what the manifest records."""
+    out = Path(args.out) if args.out else out_dir / default
+    args.out = str(out)
+    return out
 
 
 def _load(path_text: str) -> FractalSystem:
@@ -109,7 +124,7 @@ def _parse_curve(text: str) -> Curve:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_dim(args, out_dir: Path) -> int:
+def _cmd_dim(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
     spec = dimension_equation(system, args.convention)
     result = solve_dimension(spec, args.tol)
@@ -136,19 +151,13 @@ def _cmd_dim(args, out_dir: Path) -> int:
         payload["reciprocal_sum"] = str(audit.reciprocal_sum)
         payload["s_at_most_one"] = audit.s_at_most_one
     _write_json(out_dir / "dim.json", payload)
-    _write_manifest(
-        out_dir,
-        "dim",
-        {"system": args.system, "tol": args.tol, "convention": args.convention},
-        ["dim.json"],
-    )
-    return EXIT_OK
+    return ["dim.json"]
 
 
-def _cmd_enumerate(args, out_dir: Path) -> int:
+def _cmd_enumerate(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
     bag = enumerate_system(system, args.bound, args.max_points)
-    out = Path(args.out) if args.out else out_dir / "points.csv"
+    out = _out(args, out_dir, "points.csv")
     # Streams the rows with the cell formatting of fmt() inlined: csv writes
     # ints with str(), and log sizes are always floats.
     with open(out, "w", newline="") as handle:
@@ -159,21 +168,10 @@ def _cmd_enumerate(args, out_dir: Path) -> int:
         )
     print(f"{len(bag)} points up to size {bag.bound} (truncated: {bag.truncated})")
     print(f"wrote {out}")
-    _write_manifest(
-        out_dir,
-        "enumerate",
-        {
-            "system": args.system,
-            "bound": args.bound,
-            "max_points": args.max_points,
-            "out": str(out),
-        },
-        [str(out)],
-    )
-    return EXIT_OK
+    return [str(out)]
 
 
-def _cmd_member(args, out_dir: Path) -> int:
+def _cmd_member(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
     point = parse_point(args.point, system.space, system.curve)
     result = is_member(system, point, args.depth_limit)
@@ -187,16 +185,10 @@ def _cmd_member(args, out_dir: Path) -> int:
             print(f"replay check: {replay} == {point}: {replay == point}")
     else:
         print(f"{args.point}: not a member")
-    _write_manifest(
-        out_dir,
-        "member",
-        {"system": args.system, "point": args.point, "depth_limit": args.depth_limit},
-        [],
-    )
-    return EXIT_OK
+    return []
 
 
-def _cmd_audit(args, out_dir: Path) -> int:
+def _cmd_audit(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
     report = audit_exactness(system, args.bound, args.window)
     payload = {
@@ -228,13 +220,7 @@ def _cmd_audit(args, out_dir: Path) -> int:
         f"-> {'exact' if report.exact else 'NOT exact'}"
     )
     print(f"wrote {out}")
-    _write_manifest(
-        out_dir,
-        "audit",
-        {"system": args.system, "bound": args.bound, "window": args.window},
-        ["audit.json"],
-    )
-    return EXIT_OK
+    return ["audit.json"]
 
 
 def _numbers(text: str, flag: str, count: Optional[int] = None) -> list[float]:
@@ -276,7 +262,7 @@ def _parse_lemma_gap(text: str) -> float:
         ) from None
 
 
-def _cmd_growth(args, out_dir: Path) -> int:
+def _cmd_growth(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
     bag = enumerate_system(system, args.bound, args.max_points)
     grid = _parse_grid(args.grid, bag)
@@ -323,65 +309,31 @@ def _cmd_growth(args, out_dir: Path) -> int:
         }
         print(f"fitted exponent: {fmt(fit.exponent)} (rmse {fmt(fit.rmse)})")
 
-    header = ["x", "N"]
     probe_values = sorted({s for _, s, _ in lemma_exponents})
-    for s in probe_values:
-        header.append(f"h_s={fmt(s)}")
-    rows = []
-    for x, n in zip(table.grid, table.counts):
-        row = [x, n]
-        for s in probe_values:
-            row.append(n * x**-s if x > 0 else "")
-        rows.append(row)
-    out = Path(args.out) if args.out else out_dir / "growth.csv"
+    header = ["x", "N"] + [f"h_s={fmt(s)}" for s in probe_values]
+    rows = [
+        [x, n] + [n * x**-s if x > 0 else "" for s in probe_values]
+        for x, n in zip(table.grid, table.counts)
+    ]
+    out = _out(args, out_dir, "growth.csv")
     _write_csv(out, header, rows)
     _write_json(out_dir / "growth_verdict.json", verdict)
     print(json.dumps(verdict, indent=2, sort_keys=True))
-    _write_manifest(
-        out_dir,
-        "growth",
-        {
-            "system": args.system,
-            "bound": args.bound,
-            "grid": args.grid,
-            "fit": args.fit,
-            "check_lemmas": args.check_lemmas,
-            "tol": args.tol,
-            "max_points": args.max_points,
-            "out": str(out),
-        },
-        [str(out), "growth_verdict.json"],
-    )
-    return EXIT_OK
+    return [str(out), "growth_verdict.json"]
 
 
-def _cmd_census(args, out_dir: Path) -> int:
+def _cmd_census(args, out_dir: Path) -> list[str]:
     count = projective_census(args.n, args.bound)
+    row = [args.bound, count, "", ""]
+    line = f"census(n={args.n}, x={args.bound}) = {count}"
     if args.compare_schanuel:
         prediction = schanuel_prediction(args.n, args.bound)
-        ratio = count / prediction
-        row = [args.bound, count, prediction, ratio]
-        print(
-            f"census(n={args.n}, x={args.bound}) = {count}; "
-            f"prediction {fmt(prediction)}; ratio {fmt(ratio)}"
-        )
-    else:
-        row = [args.bound, count, "", ""]
-        print(f"census(n={args.n}, x={args.bound}) = {count}")
-    out = Path(args.out) if args.out else out_dir / "census.csv"
+        row[2:] = [prediction, count / prediction]
+        line += f"; prediction {fmt(prediction)}; ratio {fmt(row[3])}"
+    print(line)
+    out = _out(args, out_dir, "census.csv")
     _write_csv(out, ["bound", "count", "prediction", "ratio"], [row])
-    _write_manifest(
-        out_dir,
-        "census",
-        {
-            "n": args.n,
-            "bound": args.bound,
-            "compare_schanuel": args.compare_schanuel,
-            "out": str(out),
-        },
-        [str(out)],
-    )
-    return EXIT_OK
+    return [str(out)]
 
 
 def _infer_space(text: str) -> str:
@@ -395,26 +347,23 @@ def _infer_space(text: str) -> str:
     return "int"
 
 
-def _cmd_height(args, out_dir: Path) -> int:
-    space = args.space or _infer_space(args.point)
-    point = parse_point(args.point, space)
+def _cmd_height(args, out_dir: Path) -> list[str]:
+    args.space = args.space or _infer_space(args.point)
+    point = parse_point(args.point, args.space)
     size = size_of(point)
-    print(f"point: {point} (space {space})")
+    print(f"point: {point} (space {args.space})")
     print(f"size: {size.raw}")
     print(f"log size: {fmt(size.log_size)}")
-    _write_manifest(
-        out_dir, "height", {"point": args.point, "space": space}, []
-    )
-    return EXIT_OK
+    return []
 
 
-def _cmd_approx(args, out_dir: Path) -> int:
+def _cmd_approx(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
     bag = enumerate_system(system, args.bound, args.max_points)
     target = Target.parse(args.target, system.space)
     result = approximants(bag, target, args.delta, args.C)
     profile = approximation_exponent_profile(bag, target)
-    out = Path(args.out) if args.out else out_dir / "hits.csv"
+    out = _out(args, out_dir, "hits.csv")
     rows = [
         [str(r.point), r.h, r.d, r.exponent if r.exponent is not None else ""]
         for r in result.hits
@@ -443,24 +392,10 @@ def _cmd_approx(args, out_dir: Path) -> int:
             "tail_exponent": fmt(profile.tail_exponent),
         },
     )
-    _write_manifest(
-        out_dir,
-        "approx",
-        {
-            "system": args.system,
-            "target": args.target,
-            "delta": args.delta,
-            "C": args.C,
-            "bound": args.bound,
-            "max_points": args.max_points,
-            "out": str(out),
-        },
-        [str(out), "approx_verdict.json"],
-    )
-    return EXIT_OK
+    return [str(out), "approx_verdict.json"]
 
 
-def _cmd_intersect(args, out_dir: Path) -> int:
+def _cmd_intersect(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
     if system.space != "affq":
         raise ConfigError("intersect expects an affine rational system")
@@ -468,7 +403,7 @@ def _cmd_intersect(args, out_dir: Path) -> int:
     curve = parse_polynomial(args.curve, nvars)
     bounds = [int(b) for b in _numbers(args.bounds, "--bounds")]
     probe = curve_intersection_probe(system, curve, bounds)
-    out = Path(args.out) if args.out else out_dir / "intersect.csv"
+    out = _out(args, out_dir, "intersect.csv")
     rows = [[b, c] for b, c in zip(probe.bounds, probe.counts)]
     _write_csv(out, ["bound", "count"], rows)
     final = ", ".join(str(p) for p in probe.hits_per_bound[-1]) or "(none)"
@@ -476,81 +411,48 @@ def _cmd_intersect(args, out_dir: Path) -> int:
     print(f"counts per bound: {list(probe.counts)}")
     print(f"intersection at top bound: {final}")
     print(f"stabilized: {probe.stabilized}")
-    _write_manifest(
-        out_dir,
-        "intersect",
-        {"system": args.system, "curve": args.curve, "bounds": args.bounds, "out": str(out)},
-        [str(out)],
-    )
-    return EXIT_OK
+    return [str(out)]
 
 
-def _cmd_ec(args, out_dir: Path) -> int:
+def _cmd_ec_height(args, out_dir: Path) -> list[str]:
     curve = _parse_curve(args.curve)
-    if args.ec_command == "height":
-        if not args.point:
-            raise ConfigError("ec height needs --point")
-        point = parse_point(args.point, "ec", curve)
-        result = canonical_height(curve, point, args.tol)
-        print(f"curve: {curve}")
-        print(f"point: {point}")
-        if result.torsion:
-            print("torsion point: canonical height 0")
-        else:
-            print(f"canonical height: {fmt(result.value)} (after {result.doublings} doublings)")
-        _write_manifest(
-            out_dir,
-            "ec",
-            {"ec_command": "height", "curve": args.curve, "point": args.point, "tol": args.tol},
-            [],
-        )
-        return EXIT_OK
-    if args.ec_command == "neron":
-        if not args.gen or not args.grid:
-            raise ConfigError("ec neron needs --gen and --grid")
-        generator = parse_point(args.gen, "ec", curve)
-        torsion = []
-        if args.torsion:
-            for chunk in args.torsion.split(";"):
-                if chunk.strip():
-                    torsion.append(parse_point(chunk, "ec", curve))
-        grid = _numbers(args.grid, "--grid")
-        result = neron_count(curve, generator, torsion, grid, args.tol)
-        out = Path(args.out) if args.out else out_dir / "neron.csv"
-        rows = [[x, n] for x, n in zip(result.table.grid, result.table.counts)]
-        _write_csv(out, ["x", "count"], rows)
-        print(f"generator height: {fmt(result.generator_height)}")
-        print(f"fitted exponent: {fmt(result.fit.exponent)} (rmse {fmt(result.fit.rmse)})")
-        print(
-            f"spot-check max delta: {fmt(result.spot_check_max_delta)} "
-            f"(bound {fmt(result.spot_check_bound)})"
-        )
-        _write_manifest(
-            out_dir,
-            "ec",
-            {
-                "ec_command": "neron",
-                "curve": args.curve,
-                "gen": args.gen,
-                "torsion": args.torsion,
-                "grid": args.grid,
-                "tol": args.tol,
-                "out": str(out),
-            },
-            [str(out)],
-        )
-        return EXIT_OK
+    point = parse_point(args.point, "ec", curve)
+    result = canonical_height(curve, point, args.tol)
+    print(f"curve: {curve}")
+    print(f"point: {point}")
+    if result.torsion:
+        print("torsion point: canonical height 0")
+    else:
+        print(f"canonical height: {fmt(result.value)} (after {result.doublings} doublings)")
+    return []
 
 
-def _cmd_corpus(args, out_dir: Path) -> int:
+def _cmd_ec_neron(args, out_dir: Path) -> list[str]:
+    curve = _parse_curve(args.curve)
+    generator = parse_point(args.gen, "ec", curve)
+    torsion = [parse_point(c, "ec", curve) for c in args.torsion.split(";") if c.strip()]
+    grid = _numbers(args.grid, "--grid")
+    result = neron_count(curve, generator, torsion, grid, args.tol)
+    out = _out(args, out_dir, "neron.csv")
+    rows = [[x, n] for x, n in zip(result.table.grid, result.table.counts)]
+    _write_csv(out, ["x", "count"], rows)
+    print(f"generator height: {fmt(result.generator_height)}")
+    print(f"fitted exponent: {fmt(result.fit.exponent)} (rmse {fmt(result.fit.rmse)})")
+    print(
+        f"spot-check max delta: {fmt(result.spot_check_max_delta)} "
+        f"(bound {fmt(result.spot_check_bound)})"
+    )
+    return [str(out)]
+
+
+def _cmd_corpus(args, out_dir: Path) -> None:
     if args.name:
         print(corpus_path(args.name))
-        return EXIT_OK
+        return
     if args.export:
-        written = export_corpus(args.export)
-        for path in written:
+        for path in export_corpus(args.export):
             print(f"wrote {path}")
-        return EXIT_OK
+        return
     header = f"{'name':<18} {'space':<6} {'maps':<4} {'dimension':<18} {'exact':<6} description"
     print(header)
     print("-" * len(header))
@@ -562,63 +464,54 @@ def _cmd_corpus(args, out_dir: Path) -> int:
             f"{entry.name:<18} {entry.space:<6} {len(system.maps):<4} "
             f"{dim_text:<18} {exact_text:<6} {entry.description}"
         )
-    return EXIT_OK
 
 
-_POSITIONAL_PARAMS = {
-    "dim": ("system",),
-    "enumerate": ("system",),
-    "member": ("system", "point"),
-    "audit": ("system",),
-    "growth": ("system",),
-    "census": (),
-    "height": ("point",),
-    "approx": ("system",),
-    "intersect": ("system",),
-    "ec": ("ec_command",),
-    "corpus": ("name",),
-}
-
-_GLOBAL_PARAMS = ("tol",)
-
-
-def _cmd_rerun(args, out_dir: Path) -> int:
+def _replay_argv(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """The command line that the manifest ``args.manifest`` records, with
+    its flags, commands and positionals placed as ``parser`` declares them."""
     manifest_path = Path(args.manifest)
     if not manifest_path.exists():
         raise ConfigError(f"MissingFile: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-        sub = manifest["subcommand"]
+        sub = str(manifest["subcommand"])
         params = dict(manifest["parameters"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{manifest_path} is not a run manifest: {exc!r}") from None
+    if sub == "rerun":
+        raise ConfigError(f"{manifest_path} names rerun, which writes no manifest")
     # Census manifests written while the no-op --threads flag existed
     # record it; the flag is gone and never changed a result.
     params.pop("threads", None)
-    if sub not in _POSITIONAL_PARAMS:
-        raise ConfigError(f"manifest names unknown subcommand {sub!r}")
-    argv = ["--out-dir", str(out_dir)]
-    for key in _GLOBAL_PARAMS:
-        if key in params and params[key] is not None:
-            argv.append(f"--{key}={params.pop(key)}")
-    argv.append(sub)
-    positionals = [
-        str(params.pop(key)) for key in _POSITIONAL_PARAMS[sub] if params.get(key) is not None
-    ]
-    for key, value in params.items():
-        if value is None or value is False or value == "":
-            continue
-        if key == "out":
-            # Rebase recorded output files into the rerun directory so a
-            # replay never clobbers the original run.
-            value = str(out_dir / Path(value).name)
-        flag = "--" + key.replace("_", "-")
-        # --flag=value keeps a value such as "-1,-1" from reading as a flag.
-        argv.append(flag if value is True else f"{flag}={value}")
+    if params.get("out"):
+        # Rebase recorded output files into the rerun directory so a
+        # replay never clobbers the original run.
+        params["out"] = str(Path(args.out_dir) / Path(params["out"]).name)
+    params.update(out_dir=args.out_dir, command=sub)
+    argv, positionals = [], []
+    level: Optional[argparse.ArgumentParser] = parser
+    while level is not None:
+        command, nested = None, None
+        for action in level._actions:
+            value = params.pop(action.dest, None)
+            if value is None:
+                continue
+            if isinstance(action, argparse._SubParsersAction):
+                command, nested = str(value), action.choices.get(str(value))
+            elif not action.option_strings:
+                positionals.append(str(value))
+            elif value is not False and value != "":
+                flag = action.option_strings[0]
+                # --flag=value keeps a value such as "-1,-1" from reading as a flag.
+                argv.append(flag if value is True else f"{flag}={value}")
+        # A nested command follows its parent's flags and precedes its own.
+        if command is not None:
+            argv.append(command)
+        level = nested
+    if params:
+        raise ConfigError(f"{manifest_path} records undeclared parameters {sorted(params)}")
     # After "--" a positional such as "-1+2i" cannot read as a flag either.
-    if positionals:
-        argv += ["--", *positionals]
-    return main(argv)
+    return argv + ["--", *positionals] if positionals else argv
 
 
 # ---------------------------------------------------------------------------
@@ -626,36 +519,61 @@ def _cmd_rerun(args, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error, one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"expects a finite positive number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one declaration of every subcommand: its handler, whether it
+    reads the global --tol (and so records it), its positionals and flags."""
+    parser = _Parser(
         prog="arithfractal",
         description="Self-similar fractals in arithmetic: enumeration, dimension, heights.",
     )
     parser.add_argument("--out-dir", default=".", help="directory for outputs and manifests")
-    parser.add_argument("--tol", type=float, default=1e-12, help="numeric tolerance")
+    parser.add_argument(
+        "--tol", type=_tolerance, default=1e-12, help="numeric tolerance, finite and positive"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dim", help="solve the dimension equation of a system")
+    def command(name, handler, help, reads_tol=False, parent=sub):
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(handler=handler, reads_tol=reads_tol)
+        return p
+
+    p = command("dim", _cmd_dim, "solve the dimension equation of a system", reads_tol=True)
     p.add_argument("system")
     p.add_argument("--convention", choices=("norm", "abs"), default="norm")
 
-    p = sub.add_parser("enumerate", help="enumerate the forward orbit up to a size bound")
+    p = command("enumerate", _cmd_enumerate, "enumerate the forward orbit up to a size bound")
     p.add_argument("system")
     p.add_argument("--bound", type=float, required=True)
     p.add_argument("--max-points", type=int, default=10_000_000)
     p.add_argument("--out")
 
-    p = sub.add_parser("member", help="decide membership with a certificate")
+    p = command("member", _cmd_member, "decide membership with a certificate")
     p.add_argument("system")
     p.add_argument("point")
     p.add_argument("--depth-limit", type=int, default=10_000)
 
-    p = sub.add_parser("audit", help="audit the fractal equation on a bounded window")
+    p = command("audit", _cmd_audit, "audit the fractal equation on a bounded window")
     p.add_argument("system")
     p.add_argument("--bound", type=float, required=True)
     p.add_argument("--window", choices=("orbit", "ambient"), default="orbit")
 
-    p = sub.add_parser("growth", help="counting function, growth fit, lemma checks")
+    p = command(
+        "growth", _cmd_growth, "counting function, growth fit, lemma checks", reads_tol=True
+    )
     p.add_argument("system")
     p.add_argument("--bound", type=float, required=True)
     p.add_argument("--grid", default="auto")
@@ -664,17 +582,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=10_000_000)
     p.add_argument("--out")
 
-    p = sub.add_parser("census", help="exact count of projective rational points")
+    p = command("census", _cmd_census, "exact count of projective rational points")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--bound", type=float, required=True)
     p.add_argument("--compare-schanuel", action="store_true")
     p.add_argument("--out")
 
-    p = sub.add_parser("height", help="size and log height of a point")
+    p = command("height", _cmd_height, "size and log height of a point")
     p.add_argument("point")
     p.add_argument("--space", choices=("int", "gauss", "affq", "projq"))
 
-    p = sub.add_parser("approx", help="approximation records against a target")
+    p = command("approx", _cmd_approx, "approximation records against a target")
     p.add_argument("system")
     p.add_argument("--target", required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -683,61 +601,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=10_000_000)
     p.add_argument("--out")
 
-    p = sub.add_parser("intersect", help="exact curve intersection probe")
+    p = command("intersect", _cmd_intersect, "exact curve intersection probe")
     p.add_argument("system")
     p.add_argument("--curve", required=True)
     p.add_argument("--bounds", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("ec", help="elliptic curve heights and counting")
-    p.add_argument("ec_command", choices=("height", "neron"))
+    ec = sub.add_parser("ec", help="elliptic curve heights and counting")
+    ec = ec.add_subparsers(dest="ec_command", required=True)
+    p = command("height", _cmd_ec_height, "canonical height", reads_tol=True, parent=ec)
     p.add_argument("--curve", required=True)
-    p.add_argument("--point")
-    p.add_argument("--gen")
+    p.add_argument("--point", required=True)
+    p = command("neron", _cmd_ec_neron, "rank-1 point count", reads_tol=True, parent=ec)
+    p.add_argument("--curve", required=True)
+    p.add_argument("--gen", required=True)
+    p.add_argument("--grid", required=True)
     p.add_argument("--torsion", default="")
-    p.add_argument("--grid", default="")
     p.add_argument("--out")
 
-    p = sub.add_parser("corpus", help="list bundled systems or export them")
+    p = command("corpus", _cmd_corpus, "list bundled systems or export them")
     p.add_argument("name", nargs="?", help="print the path of one bundled system")
     p.add_argument("--export", help="write all bundled systems to a directory")
 
-    p = sub.add_parser("rerun", help="re-execute a run from its manifest")
+    p = command("rerun", None, "re-execute a run from its manifest")
     p.add_argument("manifest")
 
     return parser
 
 
-_HANDLERS = {
-    "dim": _cmd_dim,
-    "enumerate": _cmd_enumerate,
-    "member": _cmd_member,
-    "audit": _cmd_audit,
-    "growth": _cmd_growth,
-    "census": _cmd_census,
-    "height": _cmd_height,
-    "approx": _cmd_approx,
-    "intersect": _cmd_intersect,
-    "ec": _cmd_ec,
-    "corpus": _cmd_corpus,
-    "rerun": _cmd_rerun,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args, out_dir)
+        args = parser.parse_args(argv)
+        if args.command == "rerun":
+            args = parser.parse_args(_replay_argv(parser, args))
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs = args.handler(args, out_dir)
+        if outputs is not None:
+            _write_manifest(out_dir, args, outputs)
     except ConfigError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithFractalError as exc:
         print(f"error[{type(exc).__name__}.{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

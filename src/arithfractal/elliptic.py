@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
+    ConfigError,
     GeneratorIsTorsionError,
     PointNotOnCurveError,
     PrecisionNotReachedError,
@@ -28,6 +29,7 @@ MAZUR_BOUND = 12
 
 DEFAULT_HEIGHT_TOL = 1e-3
 MAX_DOUBLINGS = 40
+_TRIAL_LIMIT = 10**4  # trial divisors of the coefficient denominators
 # float64 rounding allowance: 64 ulps of max(1, |lambda_inf(P)|, log den x(P)).
 _ROUNDING = 2.0**-46
 
@@ -207,7 +209,7 @@ def _height(
 ) -> CanonicalHeight:
     if _is_torsion(curve, point):
         return CanonicalHeight(0.0, 0, True)
-    u = math.lcm(*(a.denominator for a in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)))
+    u = _integral_scale(curve)
     model = Curve(curve.a1 * u, curve.a2 * u**2, curve.a3 * u**3, curve.a4 * u**4, curve.a6 * u**6)
     discriminant = model.discriminant().numerator
     k, multiple = 1, point
@@ -242,6 +244,24 @@ def _height(
             f"tol {tol} is below what float64 can certify for the height of {point}"
         )
     return CanonicalHeight((archimedean + log_den) / (k * k), terms, False)
+
+
+def _integral_scale(curve: Curve) -> int:
+    """The least u with u^i a_i integral, from the prime powers of the
+    coefficient denominators found by trial division below _TRIAL_LIMIT;
+    a cofactor left unfactored enters u whole, so u^i a_i is always
+    integral."""
+    u = 1
+    for i, a in zip((1, 2, 3, 4, 6), (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)):
+        den, p = a.denominator, 2
+        while p * p <= den and p < _TRIAL_LIMIT:
+            e = 0
+            while den % p == 0:
+                den, e = den // p, e + 1
+            u = math.lcm(u, p ** -(-e // i))
+            p += 1
+        u = math.lcm(u, den)
+    return u
 
 
 def _archimedean_height(b: tuple, x: Fraction, terms: int) -> float:
@@ -323,7 +343,7 @@ def neron_count(
     gen_height = _height(curve, generator, tol).value
     grid = sorted(float(x) for x in x_grid)
     if not grid:
-        raise GeneratorIsTorsionError("empty grid")
+        raise ConfigError("neron_count needs a non-empty grid")
     n_max = int(math.isqrt(int(grid[-1] / gen_height))) + 1
 
     counts = []

@@ -267,10 +267,6 @@ def point_space(point: SpacePoint) -> Space:
         raise SpaceMismatchError(f"unknown point type {type(point)!r}") from None
 
 
-def space_of_point(point: SpacePoint) -> str:
-    return point_space(point).name
-
-
 def canonicalize(point: SpacePoint) -> SpacePoint:
     """Canonical form; idempotent on every variant.
 
@@ -777,6 +773,8 @@ def parse_point(text: str, space: str, curve: Optional[Curve] = None) -> SpacePo
     if space not in SPACES:
         raise ConfigError(f"unknown space {space!r}")
     entry = SPACES[space]
+    if not isinstance(text, str):  # argparse gives [] for "member SYSTEM -- --"
+        raise ConfigError(f"cannot read {text!r} as a point of {space!r}")
     try:
         payload = entry.canonical(entry.parse(text.strip()))
     except (ConfigError, ZeroProjectivePointError) as exc:

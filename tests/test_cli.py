@@ -316,6 +316,8 @@ _ZERO_SEED = {
         (["height", "0:0"], None),
         (["member", P1, "0:0"], None),
         (["dim", "{doc}"], _ZERO_SEED),
+        (["member", DIGITS01, "--", "--"], None),  # argparse hands over [] as the point
+        (["ec", "neron", "--curve", "0,0,1,-1,0", "--gen", "0,0", "--grid", ""], None),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
@@ -326,6 +328,46 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
     assert code == 2
     assert "error[ConfigParse]" in err
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["enumerate", DIGITS01], "enumerate: the following arguments are required: --bound"),
+        (["enumerate", DIGITS01, "--bound", "abc"], "--bound: invalid float value: 'abc'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["dim", DIGITS01, "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        (["audit", DIGITS01, "--bound", "10", "--window", "all"], "--window: invalid choice"),
+        (["ec", "height", "--curve", "0,0,1,-1,0"], "required: --point"),
+        (["ec", "height", "--curve", "0,0,1,-1,0", "--point", "0,0", "--grid", "1"],
+         "unrecognized arguments: --grid 1"),
+    ],
+)
+def test_usage_errors_are_one_config_line(tmp_path, capsys, argv, says):
+    code, out, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error[ConfigParse]: arithfractal") and says in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ec", "neron", "--help"])
+    assert exc.value.code == 0
+    assert "--gen" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf", "abc"])
+@pytest.mark.parametrize(
+    "argv",
+    [["dim", Z_BINARY], ["ec", "height", "--curve", "0,0,1,-1,0", "--point", "0,0"]],
+)
+def test_tol_must_be_finite_positive(tmp_path, capsys, tol, argv):
+    code, _, err = run(["--out-dir", str(tmp_path), "--tol", tol] + argv, capsys)
+    assert code == 2
+    assert err.startswith("error[ConfigParse]: arithfractal: argument --tol: ")
+    assert err.count("\n") == 1 and f"'{tol}'" in err
+    assert not list(tmp_path.glob("*_manifest.json"))
 
 
 def test_zero_projective_input_named(tmp_path, capsys):
@@ -468,3 +510,96 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     for line in lines:
         code = main(shlex.split(line, comments=True)[1:])
         assert code == 0, (line, capsys.readouterr().err)
+
+
+# --- golden manifests ---------------------------------------------------------
+
+# The recorded parameters of every README command line and of three replays
+# whose literals start with "-"; None where the subcommand writes no manifest.
+_GOLDEN_PARAMETERS = {
+    "corpus": None,
+    "corpus z-binary": None,
+    "corpus --export corpus/": None,
+    "dim corpus/z-binary.json": {
+        "convention": "norm", "system": "corpus/z-binary.json", "tol": 1e-12,
+    },
+    "dim corpus/gauss-base.json --convention abs": {
+        "convention": "abs", "system": "corpus/gauss-base.json", "tol": 1e-12,
+    },
+    "enumerate corpus/digits01.json --bound 1e6 --out points.csv": {
+        "bound": 1000000.0, "max_points": 10000000, "out": "points.csv",
+        "system": "corpus/digits01.json",
+    },
+    "member corpus/digits01.json 101": {
+        "depth_limit": 10000, "point": "101", "system": "corpus/digits01.json",
+    },
+    "audit corpus/digits01.json --bound 1e6": {
+        "bound": 1000000.0, "system": "corpus/digits01.json", "window": "orbit",
+    },
+    "audit corpus/p1-doubling.json --bound 50 --window ambient": {
+        "bound": 50.0, "system": "corpus/p1-doubling.json", "window": "ambient",
+    },
+    "growth corpus/digits01.json --bound 1e9 --fit --check-lemmas 'sdim±0.05'": {
+        "bound": 1000000000.0, "check_lemmas": "sdim±0.05", "fit": True, "grid": "auto",
+        "max_points": 10000000, "out": "growth.csv", "system": "corpus/digits01.json",
+        "tol": 1e-12,
+    },
+    "census --n 1 --bound 100 --compare-schanuel": {
+        "bound": 100.0, "compare_schanuel": True, "n": 1, "out": "census.csv",
+    },
+    "height 2:3": {"point": "2:3", "space": "projq"},
+    "height 3+4i": {"point": "3+4i", "space": "gauss"},
+    "--tol 1e-3 ec height --curve 0,0,1,-1,0 --point 0,0": {
+        "curve": "0,0,1,-1,0", "ec_command": "height", "point": "0,0", "tol": 0.001,
+    },
+    "approx corpus/p1-doubling.json --target 0:1 --delta 0.9 --C 1 --bound 1073741824": {
+        "C": 1.0, "bound": 1073741824.0, "delta": 0.9, "max_points": 10000000,
+        "out": "hits.csv", "system": "corpus/p1-doubling.json", "target": "0:1",
+    },
+    "intersect corpus/q2-powers2.json --curve x1+x2-6 --bounds 16,256,4096": {
+        "bounds": "16,256,4096", "curve": "x1+x2-6", "out": "intersect.csv",
+        "system": "corpus/q2-powers2.json",
+    },
+    "ec neron --curve 0,0,1,-1,0 --gen 0,0 --grid 0.8,1.6,3.2,6.4,12.8": {
+        "curve": "0,0,1,-1,0", "ec_command": "neron", "gen": "0,0",
+        "grid": "0.8,1.6,3.2,6.4,12.8", "out": "neron.csv", "tol": 1e-12, "torsion": "",
+    },
+    "--tol 1e-6 ec height --curve 0,0,1,-1,0 --point=-1,-1": {
+        "curve": "0,0,1,-1,0", "ec_command": "height", "point": "-1,-1", "tol": 1e-06,
+    },
+    "member corpus/gauss-base.json -- -1+2i": {
+        "depth_limit": 10000, "point": "-1+2i", "system": "corpus/gauss-base.json",
+    },
+    "height -- -1+2i": {"point": "-1+2i", "space": "gauss"},
+}
+
+
+def test_golden_covers_readme_lines():
+    lines = {shlex.join(shlex.split(line, comments=True)[1:]) for line in _readme_command_lines()}
+    assert lines <= set(_GOLDEN_PARAMETERS)
+
+
+@pytest.mark.parametrize("command", list(_GOLDEN_PARAMETERS))
+def test_golden_manifest_and_rerun(tmp_path, monkeypatch, capsys, command):
+    shutil.copytree(REPO / "corpus", tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)) == 0, capsys.readouterr().err
+    manifests = sorted(tmp_path.glob("*_manifest.json"))
+    expected = _GOLDEN_PARAMETERS[command]
+    if expected is None:
+        assert manifests == []
+        return
+    (manifest,) = manifests
+    recorded = json.loads(manifest.read_text())
+    assert recorded["parameters"] == expected
+    # The replay rebases "out" into its own directory and reproduces every
+    # data file byte for byte.
+    assert main(["--out-dir", "replay", "rerun", manifest.name]) == 0, capsys.readouterr().err
+    replayed = json.loads((tmp_path / "replay" / manifest.name).read_text())
+    if "out" in expected:
+        expected = {**expected, "out": str(Path("replay") / Path(expected["out"]).name)}
+    assert replayed["parameters"] == expected
+    assert len(replayed["outputs"]) == len(recorded["outputs"])
+    for name in recorded["outputs"]:
+        replay_file = tmp_path / "replay" / Path(name).name
+        assert replay_file.read_bytes() == (tmp_path / name).read_bytes(), name

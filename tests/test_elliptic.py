@@ -17,6 +17,7 @@ from arithfractal import (
     neron_count,
     parallelogram_defect,
 )
+from arithfractal.elliptic import _integral_scale
 from arithfractal.errors import (
     GeneratorIsTorsionError,
     PointNotOnCurveError,
@@ -165,6 +166,8 @@ def _transform(curve, point, u, r, s, t):
         # a rational model, scaled to an integral one inside the height
         (Fraction(2), 0, 0, 0),
         (1, Fraction(3), Fraction(-2), Fraction(5)),
+        # a6 = 729/16 and a3 = 81/2: the least integral scale is 2, not 16
+        (Fraction(1, 3), Fraction(-1, 2), Fraction(1), Fraction(1, 4)),
     ],
 )
 def test_height_model_invariance(curve_37a, gen, u, r, s, t):
@@ -174,6 +177,18 @@ def test_height_model_invariance(curve_37a, gen, u, r, s, t):
         model, moved = _transform(curve_37a, point, Fraction(u), r, s, t)
         result = canonical_height(model, moved, tol)
         assert abs(result.value - n * n * REGULATOR_37A) <= tol
+
+
+def test_integral_scale_is_least(curve_37a, gen):
+    model, _ = _transform(
+        curve_37a, gen, Fraction(1, 3), Fraction(-1, 2), Fraction(1), Fraction(1, 4)
+    )
+    assert _integral_scale(model) == 2
+    assert _integral_scale(curve_37a) == 1
+    # A prime above the trial-division limit enters whole: u^i a_i is integral.
+    big = 1_000_003 * 1_000_033
+    curve = Curve.from_coefficients([0, 0, Fraction(1, 8 * big), 0, Fraction(1, 64)])
+    assert _integral_scale(curve) == 2 * big
 
 
 def test_height_below_float_precision_raises(curve_37a, gen):
