@@ -139,8 +139,8 @@ def approximants(
     flagged and excluded from exponent statistics.  The per-decile counts
     expose whether new hits keep arriving at large heights.
     """
-    if delta <= 0 or C <= 0:
-        raise ConfigError("delta and C must be positive")
+    if not (0 < delta < math.inf and 0 < C < math.inf):  # also false for nan
+        raise ConfigError(f"delta and C must be finite and positive, got {delta!r} and {C!r}")
     records = _records(bag, target)
     h_max = max((r.h for r in records), default=0.0)
     hits = []

@@ -224,15 +224,15 @@ def _cmd_audit(args, out_dir: Path) -> list[str]:
 
 
 def _numbers(text: str, flag: str, count: Optional[int] = None) -> list[float]:
-    """The comma-separated finite numbers of a flag value, ``count`` of them
-    when given."""
+    """The comma-separated finite numbers of a flag value: at least one, and
+    ``count`` of them when given."""
     try:
         values = [float(p) for p in text.split(",") if p.strip()]
-        if all(map(math.isfinite, values)) and count in (None, len(values)):
+        if values and all(map(math.isfinite, values)) and count in (None, len(values)):
             return values
     except ValueError:
         pass
-    raise ConfigError(f"{flag} expects {count or 'comma-separated'} finite number(s): {text!r}")
+    raise ConfigError(f"{flag} expects {count or 'one or more'} finite number(s): {text!r}")
 
 
 def _parse_grid(text: str, bag) -> list[float]:
@@ -242,6 +242,8 @@ def _parse_grid(text: str, bag) -> list[float]:
         factor = 10.0 if bag.size_kind == "abs" else 2.0
     elif text.startswith("geometric:"):
         (factor,) = _numbers(text.split(":", 1)[1], "--grid geometric:", 1)
+        if factor <= 1:
+            raise ConfigError(f"--grid geometric: expects a factor above 1: {text!r}")
     else:
         return _numbers(text, "--grid")
     if bag.size_kind == "height":

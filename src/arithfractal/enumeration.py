@@ -235,6 +235,8 @@ def enumerate_system(
     sort the bag defers to its first ordered access.  When max_points is
     hit the BFS stops there and the bag is flagged truncated.
     """
+    if max_points < 1:
+        raise ConfigError(f"max_points must be at least 1, got {max_points}")
     bound_int = as_bound(bound)
     compiled = _compile(system, bound_int)
     records, truncated = _raw_orbit(compiled, bound_int, max_points)
@@ -275,6 +277,8 @@ def is_member(
     bound must cover the queried point (flagged in the result); a point
     missing from a truncated bag raises UndecidedError.
     """
+    if depth_limit < 1:
+        raise ConfigError(f"depth_limit must be at least 1, got {depth_limit}")
     space = point_space(point)
     if space.name != system.space:
         raise ConfigError("point and system live in different spaces")

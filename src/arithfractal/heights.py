@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import BoundTooLargeError, SpaceMismatchError
+from .errors import BoundTooLargeError, ConfigError, SpaceMismatchError
 from .spaces import FractalSystem, SpacePoint, apply, as_bound, point_space
 
 
@@ -111,7 +111,7 @@ def schanuel_prediction(n: int, x: float) -> float:
     return 2 ** (n + 1) / (2 * _ZETA[n + 1]) * float(x) ** (n + 1)
 
 
-_CENSUS_LIMITS = {1: 10**4, 2: 10**2}
+_CENSUS_LIMIT = 10**4
 
 
 def projective_census(n: int, bound: float) -> int:
@@ -121,13 +121,16 @@ def projective_census(n: int, bound: float) -> int:
     [-x, x]^(n+1), so Moebius inversion over the gcd of the coordinates (the
     sum behind Schanuel's count, Bull. SMF 107 (1979)) gives
     N = 1/2 sum_{d <= x} mu(d) ((2 floor(x/d) + 1)^(n+1) - 1),
-    with mu from a linear sieve.  Bounds are capped by ``_CENSUS_LIMITS``.
+    with mu from a linear sieve, in O(x) for every n in 1..4 (the range of
+    the zeta table).  Bounds above ``_CENSUS_LIMIT`` raise BoundTooLargeError.
     """
-    if n not in _CENSUS_LIMITS:
-        raise BoundTooLargeError(f"census supports n in {sorted(_CENSUS_LIMITS)}")
+    if n + 1 not in _ZETA:
+        raise ConfigError(f"census supports n in 1..4, got n={n}")
     x = as_bound(bound)
-    if x < 0 or x > _CENSUS_LIMITS[n]:
-        raise BoundTooLargeError(f"census bound {bound} exceeds desk scale for n={n}")
+    if bound < 0:
+        raise ConfigError(f"census bound must be nonnegative, got {bound}")
+    if x > _CENSUS_LIMIT:
+        raise BoundTooLargeError(f"census bound {bound} exceeds the limit {_CENSUS_LIMIT}")
     terms = (mu * ((2 * (x // d) + 1) ** (n + 1) - 1) for d, mu in enumerate(_mobius(x)) if mu)
     return sum(terms) // 2
 

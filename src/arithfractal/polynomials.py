@@ -8,8 +8,13 @@ Arithmetic is exact throughout (Fraction coefficients, integer exponents).
 from __future__ import annotations
 
 import ast
+import math
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from itertools import repeat
+from typing import Sequence
 
 from .errors import ConfigError
 
@@ -32,48 +37,55 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+@dataclass(frozen=True)
 class Polynomial:
     """An immutable polynomial in ``nvars`` variables over the rationals.
 
-    Terms are stored as a sorted tuple of (exponent tuple, coefficient)
-    pairs with zero coefficients dropped, so equal polynomials compare and
-    hash equal.
+    Terms are a sorted tuple of (exponent tuple, coefficient) pairs with
+    equal monomials merged and zero coefficients dropped, so equal
+    polynomials compare and hash equal.  ``+``, ``-`` and ``*`` are exact.
     """
 
     __slots__ = ("nvars", "terms")
+    nvars: int
+    terms: tuple[tuple[Exponents, Fraction], ...]
 
-    def __init__(self, nvars: int, terms: Iterable[tuple[Exponents, Fraction]]):
+    def __post_init__(self):
         merged: dict[Exponents, Fraction] = {}
-        for exps, coeff in terms:
+        for exps, coeff in self.terms:
             exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars:
+            if len(exps) != self.nvars:
                 raise ConfigError(
-                    f"monomial exponent tuple {exps} does not match nvars={nvars}"
+                    f"monomial exponent tuple {exps} does not match nvars={self.nvars}"
                 )
             if any(e < 0 for e in exps):
                 raise ConfigError(f"negative exponent in monomial {exps}")
             coeff = Fraction(coeff)
             if coeff:
                 merged[exps] = merged.get(exps, Fraction(0)) + coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted((e, c) for e, c in merged.items() if c)),
+        object.__setattr__(self, "terms", tuple(sorted((e, c) for e, c in merged.items() if c)))
+
+    def __add__(self, other: Polynomial) -> Polynomial:
+        return Polynomial(self.nvars, self.terms + other.terms)
+
+    def __neg__(self) -> Polynomial:
+        return Polynomial(self.nvars, [(e, -c) for e, c in self.terms])
+
+    def __pos__(self) -> Polynomial:
+        return self
+
+    def __sub__(self, other: Polynomial) -> Polynomial:
+        return self + -other
+
+    def __mul__(self, other: Polynomial) -> Polynomial:
+        return Polynomial(
+            self.nvars,
+            [
+                (tuple(map(operator.add, e1, e2)), c1 * c2)
+                for e1, c1 in self.terms
+                for e2, c2 in other.terms
+            ],
         )
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Polynomial is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, self.terms))
 
     def __bool__(self):
         return bool(self.terms)
@@ -153,98 +165,46 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {str(self)!r})"
 
 
-_ALLOWED_NODES = (
-    ast.Expression,
-    ast.BinOp,
-    ast.UnaryOp,
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.Pow,
-    ast.Div,
-    ast.USub,
-    ast.UAdd,
-    ast.Constant,
-    ast.Name,
-    ast.Load,
-)
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse an expression such as ``"x1 + x2 - 6"`` or ``"2*x1^2 - x2/3"``.
 
-    Variables are x1..xn; ^ and ** both denote powers.  Division is only
-    allowed by integer constants.
+    Accepts finite int and float literals, x1..xn, unary + -, binary + - *,
+    ^ or ** to a literal integer >= 0, and / by a nonzero constant
+    expression.  Anything else raises ConfigError.
     """
+
+    def constant(value) -> Polynomial:
+        return Polynomial(nvars, [((0,) * nvars, value)])
+
+    variables = {f"x{i + 1}": (0,) * i + (1,) + (0,) * (nvars - i - 1) for i in range(nvars)}
+
+    def fold(node) -> Polynomial:
+        match node:
+            case ast.BinOp(left, op, right) if type(op) in _BINARY:
+                return _BINARY[type(op)](fold(left), fold(right))
+            case ast.UnaryOp(op, operand) if type(op) in _UNARY:
+                return _UNARY[type(op)](fold(operand))
+            case ast.BinOp(base, ast.Pow(), ast.Constant(int(e))) if type(e) is int and e >= 0:
+                return reduce(operator.mul, repeat(fold(base), e), constant(1))
+            case ast.BinOp(left, ast.Div(), right) if (d := fold(right)) and d.total_degree() == 0:
+                return fold(left) * constant(1 / d.terms[0][1])
+            case ast.Constant(int(v) | float(v)) if type(v) is not bool and abs(v) < math.inf:
+                return constant(Fraction(v))
+            case ast.Name(name) if name in variables:
+                return Polynomial(nvars, [(variables[name], 1)])
+        raise ConfigError(
+            f"cannot use {ast.get_source_segment(source, node)!r} "
+            f"in polynomial {text!r} (x1..x{nvars})"
+        )
+
     source = text.replace("^", "**")
     try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"cannot parse polynomial {text!r}: {exc}") from exc
-
-    zero = Polynomial(nvars, [])
-    one_exps = [
-        tuple(1 if j == i else 0 for j in range(nvars)) for i in range(nvars)
-    ]
-
-    def build(node) -> Polynomial:
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ConfigError(f"unsupported syntax in polynomial {text!r}")
-        if isinstance(node, ast.Expression):
-            return build(node.body)
-        if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
-                raise ConfigError(f"bad constant {node.value!r} in {text!r}")
-            return Polynomial(nvars, [((0,) * nvars, Fraction(node.value))])
-        if isinstance(node, ast.Name):
-            name = node.id
-            if not (name.startswith("x") and name[1:].isdigit()):
-                raise ConfigError(f"unknown variable {name!r}; use x1..x{nvars}")
-            idx = int(name[1:]) - 1
-            if not 0 <= idx < nvars:
-                raise ConfigError(f"variable {name!r} out of range for n={nvars}")
-            return Polynomial(nvars, [(one_exps[idx], Fraction(1))])
-        if isinstance(node, ast.UnaryOp):
-            inner = build(node.operand)
-            if isinstance(node.op, ast.USub):
-                return Polynomial(
-                    nvars, [(e, -c) for e, c in inner.terms]
-                )
-            return inner
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
-                base = build(node.left)
-                if not isinstance(node.right, ast.Constant) or not isinstance(
-                    node.right.value, int
-                ):
-                    raise ConfigError(f"exponent must be a literal integer in {text!r}")
-                result = Polynomial(nvars, [((0,) * nvars, Fraction(1))])
-                for _ in range(node.right.value):
-                    result = _multiply(result, base)
-                return result
-            left, right = build(node.left), build(node.right)
-            if isinstance(node.op, ast.Add):
-                return Polynomial(nvars, left.terms + right.terms)
-            if isinstance(node.op, ast.Sub):
-                return Polynomial(
-                    nvars, left.terms + tuple((e, -c) for e, c in right.terms)
-                )
-            if isinstance(node.op, ast.Mult):
-                return _multiply(left, right)
-            if isinstance(node.op, ast.Div):
-                if right.total_degree() != 0 or not right.terms:
-                    raise ConfigError("division only by nonzero constants")
-                scale = right.terms[0][1]
-                return Polynomial(nvars, [(e, c / scale) for e, c in left.terms])
-        raise ConfigError(f"unsupported syntax in polynomial {text!r}")
-
-    result = build(tree)
-    return result if result.terms else zero
-
-
-def _multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    terms = []
-    for e1, c1 in p.terms:
-        for e2, c2 in q.terms:
-            terms.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
-    return Polynomial(p.nvars, terms)
+        return fold(ast.parse(source, mode="eval").body)
+    except (SyntaxError, ValueError) as exc:
+        raise ConfigError(f"cannot parse polynomial {text!r}: {exc}") from None
+    except (RecursionError, MemoryError):  # how ast.parse and the fold report deep nesting
+        raise ConfigError(f"polynomial {text!r} is nested too deeply or too large") from None

@@ -318,6 +318,24 @@ _ZERO_SEED = {
         (["dim", "{doc}"], _ZERO_SEED),
         (["member", DIGITS01, "--", "--"], None),  # argparse hands over [] as the point
         (["ec", "neron", "--curve", "0,0,1,-1,0", "--gen", "0,0", "--grid", ""], None),
+        (["growth", DIGITS01, "--bound", "100", "--grid", ""], None),
+        (["growth", DIGITS01, "--bound", "100", "--grid", ","], None),
+        (["growth", DIGITS01, "--bound", "100", "--grid", "", "--fit"], None),
+        (["growth", DIGITS01, "--bound", "100", "--grid", "geometric:1"], None),
+        (["growth", DIGITS01, "--bound", "100", "--grid", "geometric:0.5"], None),
+        (["intersect", Q2, "--curve", "x1+x2-6", "--bounds", ""], None),
+        (["intersect", Q2, "--curve", "not x1+x2-6", "--bounds", "16"], None),
+        (["census", "--bound", "-5"], None),
+        (["census", "--n", "0", "--bound", "10"], None),
+        (["census", "--n", "5", "--bound", "10"], None),
+        (["approx", P1, "--target", "0:1", "--delta", "nan", "--bound", "100"], None),
+        (["approx", P1, "--target", "0:1", "--delta", "inf", "--bound", "100"], None),
+        (["approx", P1, "--target", "0:1", "--delta", "0.9", "--C", "inf", "--bound", "100"], None),
+        (["approx", P1, "--target", "0:1", "--delta", "0.9", "--C", "nan", "--bound", "100"], None),
+        (["enumerate", DIGITS01, "--bound", "100", "--max-points", "0"], None),
+        (["enumerate", DIGITS01, "--bound", "100", "--max-points", "-1"], None),
+        (["member", DIGITS01, "101", "--depth-limit", "0"], None),
+        (["member", DIGITS01, "101", "--depth-limit", "-1"], None),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
@@ -328,6 +346,34 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
     assert code == 2
     assert "error[ConfigParse]" in err
+
+
+def _intersect(curve):
+    return ["intersect", Q2, "--curve", curve, "--bounds", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["growth", DIGITS01, "--bound", "100", "--grid", ""], "--grid"),
+        (["growth", DIGITS01, "--bound", "100", "--grid", "geometric:1"], "--grid geometric:"),
+        (["intersect", Q2, "--curve", "x1+x2-6", "--bounds", ","], "--bounds"),
+        (["ec", "neron", "--curve", "0,0,1,-1,0", "--gen", "0,0", "--grid", " "], "--grid"),
+        (["enumerate", DIGITS01, "--bound", "100", "--max-points", "0"], "max_points"),
+        (["member", DIGITS01, "101", "--depth-limit", "0"], "depth_limit"),
+        (["approx", P1, "--target", "0:1", "--delta", "0.9", "--C", "inf", "--bound", "9"],
+         "delta and C must be finite and positive"),
+        (_intersect("1e400*x1"), "cannot use '1e400'"),
+        (_intersect("x1 + True"), "cannot use 'True'"),
+        (_intersect("~x1"), "cannot use '~x1'"),
+        pytest.param(_intersect("+".join(["x1"] * 1200)), "nested too deeply", id="sum-1200"),
+    ],
+)
+def test_bad_values_are_one_line_naming_the_input(tmp_path, capsys, argv, says):
+    code, out, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error[ConfigParse]: ") and says in err
+    assert not list(tmp_path.iterdir())  # no table, verdict or manifest
 
 
 @pytest.mark.parametrize(

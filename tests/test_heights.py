@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from arithfractal import (
     schanuel_prediction,
     size_of,
 )
-from arithfractal.errors import BoundTooLargeError
+from arithfractal.errors import BoundTooLargeError, ConfigError
 
 
 # --- size_of ----------------------------------------------------------------
@@ -175,6 +176,23 @@ def test_census_p2_small():
         assert projective_census(2, bound) == brute(bound)
 
 
+def brute_census(n, bound):
+    """Canonical primitive vectors of Z^(n+1) in the box, listed one by one."""
+    seen = set()
+    for v in itertools.product(range(-bound, bound + 1), repeat=n + 1):
+        g = math.gcd(*v)
+        if g:
+            t = tuple(c // g for c in v)
+            seen.add(t if next(c for c in t if c) > 0 else tuple(-c for c in t))
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_census_p3_p4_small(n):
+    for bound in range(1, 4):
+        assert projective_census(n, bound) == brute_census(n, bound)
+
+
 @given(st.integers(0, 2000))
 def test_census_p1_matches_totient_oracle(bound):
     assert projective_census(1, bound) == totient_oracle_p1(bound)
@@ -183,5 +201,16 @@ def test_census_p1_matches_totient_oracle(bound):
 def test_census_bound_guard():
     with pytest.raises(BoundTooLargeError):
         projective_census(1, 10**5)
-    with pytest.raises(BoundTooLargeError):
-        projective_census(3, 10)
+    with pytest.raises(ConfigError):
+        projective_census(5, 10)
+
+
+def test_census_one_limit_for_every_n():
+    # One bound limit, 10^4, for n = 1..4; the Moebius sum is O(x) for each.
+    assert projective_census(2, 10**4) == pytest.approx(schanuel_prediction(2, 10**4), rel=1e-3)
+    for n in range(1, 5):
+        with pytest.raises(BoundTooLargeError):
+            projective_census(n, 10**4 + 1)
+    for n, bound in [(0, 10), (5, 1), (-1, 3), (1, -5), (4, -1), (2, -0.5)]:
+        with pytest.raises(ConfigError):
+            projective_census(n, bound)

@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithfractal.errors import ConfigError
 from arithfractal.polynomials import Polynomial, parse_polynomial, parse_rational
@@ -64,3 +67,94 @@ def test_records_round_trip():
     p = parse_polynomial("x1^2/2 - 3*x2", 2)
     again = Polynomial.from_records(p.to_records(), 2)
     assert again == p
+
+
+# --- the accepted grammar, against Python's own Fraction arithmetic ----------
+
+_LEAVES = st.one_of(
+    st.sampled_from(["x1", "x2"]),
+    st.integers(0, 30).map(str),
+    st.sampled_from(["0.5", "1.25", "0.1", "3.0"]),
+)
+_DIVISORS = st.sampled_from(["3", "0.25", "(2 - 7)", "(x1 - x1 + 2)", "(2*3)"])
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*"]), children).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})"
+        ),
+        st.tuples(st.sampled_from(["-", "+"]), children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(children, st.sampled_from(["^", "**"]), st.integers(0, 3)).map(
+            lambda t: f"({t[0]}){t[1]}{t[2]}"
+        ),
+        st.tuples(children, _DIVISORS).map(lambda t: f"({t[0]}) / {t[1]}"),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _compound, max_leaves=10)
+_POINTS = st.tuples(*[st.fractions(-5, 5, max_denominator=9)] * 2)
+
+
+def _python_value(text, point):
+    """``text`` evaluated by Python with every literal read as Fraction(literal)."""
+    source = re.sub(r"\b\d+(?:\.\d+)?\b", lambda m: f"Fraction({m.group()})", text)
+    names = {"Fraction": Fraction, "x1": point[0], "x2": point[1], "__builtins__": {}}
+    return eval(source.replace("^", "**"), names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXPRESSIONS, _POINTS)
+def test_parse_agrees_with_fraction_evaluation(text, point):
+    assert parse_polynomial(text, 2).evaluate(point) == _python_value(text, point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EXPRESSIONS, _EXPRESSIONS, _EXPRESSIONS, _POINTS)
+def test_operator_laws(a, b, c, point):
+    p, q, r = (parse_polynomial(t, 2) for t in (a, b, c))
+    at_p, at_q = p.evaluate(point), q.evaluate(point)
+    assert (p + q).evaluate(point) == at_p + at_q
+    assert (p - q).evaluate(point) == at_p - at_q
+    assert (p * q).evaluate(point) == at_p * at_q
+    assert (-p).evaluate(point) == -at_p
+    assert +p == p and -(-p) == p
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) * r == p * r + q * r
+    assert not p - p and p - p == Polynomial(2, [])
+    assert hash(p * q) == hash(q * p)
+
+
+# --- everything outside the grammar is a ConfigError --------------------------
+
+_REJECTED = [
+    pytest.param("__import__('os')", id="call"),
+    pytest.param("x3", id="x3-out-of-range"),
+    pytest.param("x1 / x2", id="divide-by-variable"),
+    pytest.param("x1 / (x2 - x2)", id="divide-by-zero"),
+    pytest.param("not x1", id="not"),
+    pytest.param("~x1", id="invert"),
+    pytest.param("x1 + True", id="bool"),
+    pytest.param("x1**True", id="bool-exponent"),
+    pytest.param("x1**-1", id="negative-exponent"),
+    pytest.param("x1**2.0", id="float-exponent"),
+    pytest.param("x1**(1 + 1)", id="exponent-not-literal"),
+    pytest.param("1e400*x1", id="float-overflow"),
+    pytest.param("1j*x1", id="complex"),
+    pytest.param("x1 // 2", id="floor-division"),
+    pytest.param("x1 % 2", id="modulo"),
+    pytest.param("x1 < x2", id="comparison"),
+    pytest.param("x01", id="padded-variable"),
+    pytest.param("y", id="unknown-name"),
+    pytest.param("x1 +", id="syntax"),
+    pytest.param("", id="empty"),
+    pytest.param("+".join(["x1"] * 1200), id="sum-of-1200-terms"),
+    pytest.param("-" * 7000 + "x1", id="7000-unary-minus"),
+    pytest.param("x1" + "**2" * 3000, id="3000-powers"),
+]
+
+
+@pytest.mark.parametrize("text", _REJECTED)
+def test_parse_rejects_outside_grammar(text):
+    with pytest.raises(ConfigError):
+        parse_polynomial(text, 2)
