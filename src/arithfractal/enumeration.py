@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import gc
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -400,6 +402,13 @@ def audit_exactness(
     bound_int = as_bound(bound)
     compiled = _compile(system, bound_int)
     space, seeds, images = compiled
+    every = list(enumerate(images))
+
+    def sources():
+        """The window points whose images are counted, each paired with the
+        maps applied to it: by default every point with every map."""
+        return zip(payloads, repeat(every))
+
     counts: dict = {}
     if window == "orbit":
         # Image counting happens inside the orbit BFS: each orbit point is
@@ -422,9 +431,22 @@ def audit_exactness(
             raise UnsupportedSpaceError(f"no ambient window for space {space.name!r}")
         payloads = space.window(bound_int, seeds)
         in_window = set(payloads)
+        cutoffs = [m.source_bound(bound_int) for m in system.maps]
+        if min(cutoffs) < bound_int:
+            # Map i can send q into the window only when size(q) is at most
+            # its source bound, so each point is paired with the maps whose
+            # source bound it meets: those met at each distinct bound form
+            # one tier.  Only the points that meet some bound are kept.
+            levels = sorted(set(cutoffs))
+            tiers = [[(i, image) for i, image in every if cutoffs[i] >= level] for level in levels]
+            size = space.size
+            kept = [
+                (q, tiers[k]) for q in payloads if (k := bisect_left(levels, size(q))) < len(levels)
+            ]
+            sources = kept.__iter__
         try:
-            for q in payloads:
-                for image in images:
+            for q, tier in sources():
+                for _, image in tier:
                     p = image(q)
                     if p in in_window:
                         counts[p] = counts.get(p, 0) + 1
@@ -437,8 +459,8 @@ def audit_exactness(
 
     witnesses: dict = {p: [] for p in overlap_payloads[:max_listed]}
     if witnesses:
-        for q in payloads:
-            for i, image in enumerate(images):
+        for q, tier in sources():
+            for i, image in tier:
                 p = image(q)
                 if p in witnesses:
                     witnesses[p].append((i, space.to_point(q)))

@@ -165,20 +165,30 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {str(self)!r})"
 
 
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub}
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+# The largest exponent and total degree a parsed polynomial may have; the
+# fold multiplies once per unit of exponent, so this also bounds its work.
+_MAX_DEGREE = 64
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse an expression such as ``"x1 + x2 - 6"`` or ``"2*x1^2 - x2/3"``.
 
     Accepts finite int and float literals, x1..xn, unary + -, binary + - *,
-    ^ or ** to a literal integer >= 0, and / by a nonzero constant
-    expression.  Anything else raises ConfigError.
+    ^ or ** to a literal integer from 0 to 64, and / by a nonzero constant
+    expression, up to total degree 64.  Anything else raises ConfigError.
     """
 
     def constant(value) -> Polynomial:
         return Polynomial(nvars, [((0,) * nvars, value)])
+
+    def capped(degree: int, node) -> None:
+        if degree > _MAX_DEGREE:
+            raise ConfigError(
+                f"{ast.get_source_segment(source, node)!r} in polynomial {text!r} "
+                f"exceeds the exponent and degree limit {_MAX_DEGREE}"
+            )
 
     variables = {f"x{i + 1}": (0,) * i + (1,) + (0,) * (nvars - i - 1) for i in range(nvars)}
 
@@ -188,8 +198,14 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 return _BINARY[type(op)](fold(left), fold(right))
             case ast.UnaryOp(op, operand) if type(op) in _UNARY:
                 return _UNARY[type(op)](fold(operand))
+            case ast.BinOp(left, ast.Mult(), right):
+                a, b = fold(left), fold(right)
+                capped(a.total_degree() + b.total_degree(), node)
+                return a * b
             case ast.BinOp(base, ast.Pow(), ast.Constant(int(e))) if type(e) is int and e >= 0:
-                return reduce(operator.mul, repeat(fold(base), e), constant(1))
+                factor = fold(base)
+                capped(max(e, e * factor.total_degree()), node)
+                return reduce(operator.mul, repeat(factor, e), constant(1))
             case ast.BinOp(left, ast.Div(), right) if (d := fold(right)) and d.total_degree() == 0:
                 return fold(left) * constant(1 / d.terms[0][1])
             case ast.Constant(int(v) | float(v)) if type(v) is not bool and abs(v) < math.inf:

@@ -309,6 +309,11 @@ class _MapKind:
             f"preimage not available for map kind {self.kind!r}"
         )
 
+    def source_bound(self, bound: int) -> int:
+        """The largest size of a point whose image can have size <= bound;
+        ``bound`` itself, meaning no cutoff, where none is certified."""
+        return bound
+
     def to_json(self) -> dict:
         values = (getattr(self, f.name) for f in fields(self))
         record = {key: fmt(v) for (key, _, fmt), v in zip(self.json_fields, values)}
@@ -459,6 +464,34 @@ class PolyTupleMap(_MapKind):
             yield "DegreeTooLow", "components need total degree >= 1"
 
 
+def _sylvester_solutions(forms: Sequence[Polynomial], d: int) -> Optional[list]:
+    """Coefficients (U then V, by rising power of y) of the solutions of
+    U*F + V*G = x^(2d-1) and = y^(2d-1) for binary forms F, G of degree d,
+    with deg U = deg V = d-1; None when the Sylvester matrix is singular."""
+    f, g = ([Fraction(0)] * (d + 1) for _ in forms)
+    for coeffs, form in zip((f, g), forms):
+        for (_, y_exp), c in form.terms:
+            coeffs[y_exp] = c
+    n = 2 * d
+    # Row k holds the coefficient of x^(n-1-k) y^k, then the two right-hand sides.
+    rows = [
+        [h[k - j] if 0 <= k - j <= d else Fraction(0) for h in (f, g) for j in range(d)]
+        + [Fraction(k == 0), Fraction(k == n - 1)]
+        for k in range(n)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = [v / rows[col][col] for v in rows[col]]
+        rows = [
+            top if r == col else [v - row[col] * t for v, t in zip(row, top)]
+            for r, row in enumerate(rows)
+        ]
+    return [[row[n] for row in rows], [row[n + 1] for row in rows]]
+
+
 @dataclass(frozen=True)
 class ProjHomogMap(_MapKind):
     """n+1 homogeneous integer forms of a common degree acting on P^n."""
@@ -481,6 +514,26 @@ class ProjHomogMap(_MapKind):
 
     def weight(self, convention: str) -> float:
         return float(self.degree())
+
+    def source_bound(self, bound: int) -> int:
+        """Northcott on P^1: H(f(q)) >= H(q)^d / (K*D), so H(q) <= (K*D*bound)^(1/d).
+
+        For forms F, G of degree d with Res(F, G) != 0 the Sylvester system
+        gives U, V of degree d-1 with U*F + V*G = x^(2d-1), and another pair
+        for y^(2d-1).  K is the larger l1 norm ||U|| + ||V|| of the two, so
+        max(|F(a,b)|, |G(a,b)|) >= H^d / K; D is the lcm of the denominators
+        of all four, so for coprime (a, b) the gcd of F(a,b) and G(a,b)
+        divides D (Call-Silverman).  Off P^1, for forms that fail validation,
+        or when Res(F, G) = 0, there is no cutoff.
+        """
+        if self.nvars() != 2 or any(self.problems(None)):
+            return bound
+        solutions = _sylvester_solutions(self.forms, self.degree())
+        if solutions is None:
+            return bound
+        norm = max(sum(map(abs, solution)) for solution in solutions)
+        lcm = math.lcm(*(c.denominator for solution in solutions for c in solution))
+        return _floor_root(math.floor(norm * lcm * bound), self.degree())
 
     def problems(self, curve):
         forms = self.forms
@@ -584,22 +637,26 @@ def _fraction_root(value: Fraction, degree: int) -> Optional[Fraction]:
     return -root if negative else root
 
 
-def _int_root(n: int, k: int) -> Optional[int]:
-    """Exact k-th root of a nonnegative integer, None if n is not a power."""
+def _floor_root(n: int, k: int) -> int:
+    """The integer part of the k-th root of a nonnegative integer."""
     if n in (0, 1):
         return n
     if k == 2:
-        root = math.isqrt(n)
-        return root if root * root == n else None
+        return math.isqrt(n)
     # Integer Newton iteration seeded from the bit length; floats would
     # overflow on big operands.
     x = 1 << ((n.bit_length() + k - 1) // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    return x if x**k == n else None
+
+
+def _int_root(n: int, k: int) -> Optional[int]:
+    """Exact k-th root of a nonnegative integer, None if n is not a power."""
+    root = _floor_root(n, k)
+    return root if root**k == n else None
 
 
 def preimage(map_: SimilarityMap, point: SpacePoint) -> Optional[SpacePoint]:

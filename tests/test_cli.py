@@ -336,6 +336,9 @@ _ZERO_SEED = {
         (["enumerate", DIGITS01, "--bound", "100", "--max-points", "-1"], None),
         (["member", DIGITS01, "101", "--depth-limit", "0"], None),
         (["member", DIGITS01, "101", "--depth-limit", "-1"], None),
+        (["intersect", Q2, "--curve", "x1**99999999", "--bounds", "16"], None),
+        (["intersect", Q2, "--curve", "(x1+x2)**3000", "--bounds", "16"], None),
+        (["intersect", Q2, "--curve", "2**99999999", "--bounds", "16"], None),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
@@ -367,6 +370,7 @@ def _intersect(curve):
         (_intersect("x1 + True"), "cannot use 'True'"),
         (_intersect("~x1"), "cannot use '~x1'"),
         pytest.param(_intersect("+".join(["x1"] * 1200)), "nested too deeply", id="sum-1200"),
+        (_intersect("x1**99999999"), "exponent and degree limit 64"),
     ],
 )
 def test_bad_values_are_one_line_naming_the_input(tmp_path, capsys, argv, says):

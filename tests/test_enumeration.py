@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -27,7 +28,8 @@ from arithfractal.errors import (
     UnsupportedSpaceError,
     ZeroProjectivePointError,
 )
-from arithfractal.spaces import SPACES, system_from_dict
+from arithfractal.polynomials import Polynomial
+from arithfractal.spaces import SPACES, ProjHomogMap, system_from_dict, validate_system
 
 
 def digit_oracle(bound, digits):
@@ -368,6 +370,147 @@ def test_audit_p1_window_not_a_fractal(p1_doubling):
     assert (3, 1) in uncovered
 
 
+# --- the ambient audit's certified source bounds on P^1 ---------------------
+
+
+def binary_form(coeffs):
+    """sum c_j x^(d-j) y^j for the coefficient list [c_0, ..., c_d]."""
+    d = len(coeffs) - 1
+    return Polynomial(2, [((d - j, j), c) for j, c in enumerate(coeffs)])
+
+
+def resultant(f, g):
+    """Res(F, G) of two coefficient lists of one degree d, as the
+    determinant of their Sylvester matrix."""
+    d = len(f) - 1
+    rows = [
+        [Fraction(0)] * i + [Fraction(c) for c in h] + [Fraction(0)] * (d - 1 - i)
+        for h in (f, g)
+        for i in range(d)
+    ]
+    det = Fraction(1)
+    for col in range(2 * d):
+        pivot = next((r for r in range(col, 2 * d) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, 2 * d):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def p1_window(bound):
+    """Every canonical point (a:b) of P^1(Q) with max(|a|, |b|) <= bound."""
+    return [
+        (a, b)
+        for a in range(bound + 1)
+        for b in range(-bound, bound + 1)
+        if math.gcd(a, b) == 1 and (a > 0 or b == 1)
+    ]
+
+
+# Pairs of binary forms of degree 2 or 3 with coefficients in [-5, 5] and
+# Res(F, G) != 0.
+_COEFFS = st.integers(2, 3).flatmap(
+    lambda d: st.tuples(*[st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1)] * 2)
+).filter(lambda coeffs: resultant(*coeffs) != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COEFFS, st.integers(1, 200))
+def test_source_bound_against_brute_force(coeffs, bound):
+    map_ = ProjHomogMap(tuple(binary_form(c) for c in coeffs))
+    cutoff = map_.source_bound(bound)
+    image = map_.image_fn()
+    for q in p1_window(bound):
+        if max(map(abs, image(q))) <= bound:
+            assert max(map(abs, q)) <= cutoff, (q, image(q))
+
+
+def test_source_bound_tight_on_p1_doubling(p1_doubling):
+    # The largest H(q) whose image has height <= 300, by brute force.
+    reach = []
+    for map_ in p1_doubling.maps:
+        image = map_.image_fn()
+        reach.append(max(max(q) for q in p1_window(300) if max(map(abs, image(q))) <= 300))
+    assert [m.source_bound(300) for m in p1_doubling.maps] == reach == [17, 24]
+
+
+def brute_ambient_audit(system, bound):
+    """Unpruned: every map applied to every point of the P^1 window."""
+    window = p1_window(bound)
+    in_window = set(window)
+    witnesses = {}
+    for i, map_ in enumerate(system.maps):
+        image = map_.image_fn()
+        for q in window:
+            p = image(q)
+            if p in in_window:
+                witnesses.setdefault(p, []).append((i, ProjPoint(q)))
+    return {
+        "total_points": len(window),
+        "covered_count": len(witnesses),
+        "overlaps": {ProjPoint(p): sorted(w) for p, w in witnesses.items() if len(w) >= 2},
+        "uncovered": sorted(ProjPoint(q) for q in window if q not in witnesses),
+    }
+
+
+def pruned_ambient_audit(system, bound):
+    report = audit_exactness(system, bound, window="ambient", max_listed=10**6)
+    assert report.overlap_count == len(report.overlaps)
+    assert report.uncovered_count == len(report.uncovered)
+    return {
+        "total_points": report.total_points,
+        "covered_count": report.covered_count,
+        "overlaps": {r.point: sorted(r.witnesses) for r in report.overlaps},
+        "uncovered": sorted(report.uncovered),
+    }
+
+
+@pytest.mark.parametrize("bound", [10, 50, 300])
+@pytest.mark.parametrize("name", ["p1-doubling", "p1-powers2-full"])
+def test_ambient_audit_matches_brute_force(name, bound):
+    system = load_corpus_system(name)
+    assert pruned_ambient_audit(system, bound) == brute_ambient_audit(system, bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_COEFFS, min_size=1, max_size=2), st.sampled_from([10, 30, 60]))
+def test_ambient_audit_matches_brute_force_random(maps, bound):
+    system = FractalSystem(
+        "projq",
+        tuple(ProjHomogMap(tuple(binary_form(c) for c in coeffs)) for coeffs in maps),
+        (ProjPoint((0, 1)),),
+        "random",
+    )
+    assert pruned_ambient_audit(system, bound) == brute_ambient_audit(system, bound)
+
+
+def test_ambient_audit_image_calls(p1_doubling, monkeypatch):
+    calls = 0
+    image_fn = ProjHomogMap.image_fn
+
+    def counting_image_fn(self):
+        image = image_fn(self)
+
+        def counted(q):
+            nonlocal calls
+            calls += 1
+            return image(q)
+
+        return counted
+
+    monkeypatch.setattr(ProjHomogMap, "image_fn", counting_image_fn)
+    report = audit_exactness(p1_doubling, 300, window="ambient")
+    assert report.overlap_count  # so the witness pass runs too
+    # Both passes over all 109,592 window points would make 438,368 calls.
+    assert 0 < calls <= 2_500
+
+
 def test_audit_gauss_clean_small(gauss_base):
     report = audit_exactness(gauss_base, 2**12)
     assert report.exact
@@ -431,18 +574,21 @@ def _form(*terms):
     return [{"coeff": c, "exponents": e} for c, e in terms]
 
 
+# (x^2 - 16y^2 : xy - 4y^2) vanishes at (4:1), which lies off the radius-3
+# grid of the common-zero check, so the system validates.
+_ZERO_AT_4_1 = {
+    "space": "projq",
+    "label": "zero-at-4-1",
+    "maps": [{"kind": "proj_homog", "forms": [
+        _form(("1", [2, 0]), ("-16", [0, 2])),
+        _form(("1", [1, 1]), ("-4", [0, 2])),
+    ]}],
+    "seeds": [["4", "1"]],
+}
+
+
 def test_zero_image_names_map_and_point():
-    # (x^2 - 16y^2 : xy - 4y^2) vanishes at (4:1), which lies off the
-    # radius-3 grid of the common-zero check, so the system validates.
-    system = system_from_dict({
-        "space": "projq",
-        "label": "zero-at-4-1",
-        "maps": [{"kind": "proj_homog", "forms": [
-            _form(("1", [2, 0]), ("-16", [0, 2])),
-            _form(("1", [1, 1]), ("-4", [0, 2])),
-        ]}],
-        "seeds": [["4", "1"]],
-    })
+    system = system_from_dict(_ZERO_AT_4_1)
     with pytest.raises(ZeroProjectivePointError):
         apply(system.maps[0], ProjPoint((4, 1)))
     message = r"map 0 sends \(4:1\) to \(0:\.\.\.:0\)"
@@ -452,3 +598,25 @@ def test_zero_image_names_map_and_point():
         audit_exactness(system, 100)
     with pytest.raises(ZeroProjectivePointError, match=message):
         audit_exactness(system, 10, window="ambient")
+
+
+def test_forms_with_a_common_factor_get_no_cutoff():
+    # ((x^2 + y^2) x : (x^2 + y^2) y) validates, as x^2 + y^2 has no real
+    # zero but (0, 0), and acts as the identity on P^1(Q): every window point
+    # is covered.  Res = 0, so no cutoff applies; B^(1/3) would leave most of
+    # the window uncovered.
+    identity = system_from_dict({
+        "space": "projq",
+        "label": "identity-times-x2-plus-y2",
+        "maps": [{"kind": "proj_homog", "forms": [
+            _form(("1", [3, 0]), ("1", [1, 2])),
+            _form(("1", [2, 1]), ("1", [0, 3])),
+        ]}],
+        "seeds": [["1", "1"]],
+    })
+    assert not validate_system(identity)
+    report = audit_exactness(identity, 50, window="ambient")
+    assert report.exact and report.covered_count == report.total_points
+    shared_root = system_from_dict(_ZERO_AT_4_1)
+    for system in (identity, shared_root):
+        assert [m.source_bound(b) for m in system.maps for b in (10, 50)] == [10, 50]

@@ -151,6 +151,12 @@ _REJECTED = [
     pytest.param("+".join(["x1"] * 1200), id="sum-of-1200-terms"),
     pytest.param("-" * 7000 + "x1", id="7000-unary-minus"),
     pytest.param("x1" + "**2" * 3000, id="3000-powers"),
+    pytest.param("x1**99999999", id="huge-exponent"),
+    pytest.param("2**99999999", id="huge-exponent-of-a-constant"),
+    pytest.param("(x1+x2)**3000", id="huge-power-of-a-sum"),
+    pytest.param("x1**65", id="exponent-above-64"),
+    pytest.param("(x1*x2)**33", id="power-above-degree-64"),
+    pytest.param("x1**40 * x2**25", id="product-above-degree-64"),
 ]
 
 
@@ -158,3 +164,10 @@ _REJECTED = [
 def test_parse_rejects_outside_grammar(text):
     with pytest.raises(ConfigError):
         parse_polynomial(text, 2)
+
+
+def test_degree_limit_is_inclusive():
+    assert parse_polynomial("x1**64", 2).total_degree() == 64
+    assert parse_polynomial("(x1^8)^8", 2) == parse_polynomial("x1^64", 2)
+    assert parse_polynomial("x1**40 * x2**24", 2).total_degree() == 64
+    assert len(parse_polynomial("(x1+x2)**64", 2).terms) == 65
