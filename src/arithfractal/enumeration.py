@@ -14,13 +14,14 @@ reachable bounded region is finite.
 from __future__ import annotations
 
 import gc
+import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
+    BoundTooLargeError,
     ConfigError,
     NonTerminatingError,
     UndecidedError,
@@ -395,19 +396,18 @@ def audit_exactness(
     window="orbit" audits the enumerated forward orbit (seeds excluded from
     the uncovered list; whether a seed is an image is reported separately).
     window="ambient" audits the whole ambient space up to the bound, which
-    is how a self-similar but non-fractal cover is detected.
+    is how a self-similar but non-fractal cover is detected; it streams the
+    window and applies each map only up to its source bound.  A window of
+    more than DEFAULT_MAX_POINTS points raises BoundTooLargeError.
     """
     if window not in ("orbit", "ambient"):
         raise ConfigError(f"unknown audit window {window!r}")
     bound_int = as_bound(bound)
     compiled = _compile(system, bound_int)
     space, seeds, images = compiled
-    every = list(enumerate(images))
-
-    def sources():
-        """The window points whose images are counted, each paired with the
-        maps applied to it: by default every point with every map."""
-        return zip(payloads, repeat(every))
+    too_large = BoundTooLargeError(
+        f"the {window} window at bound {bound_int} has more than {DEFAULT_MAX_POINTS} points"
+    )
 
     counts: dict = {}
     if window == "orbit":
@@ -416,68 +416,73 @@ def audit_exactness(
         # itself in the orbit.  Every non-seed point is covered by its
         # discovery, so the BFS tallies only repeat hits (see _raw_orbit)
         # and nothing is uncovered.
-        records, _ = _raw_orbit(compiled, bound_int, DEFAULT_MAX_POINTS, counts=counts)
+        records, truncated = _raw_orbit(compiled, bound_int, DEFAULT_MAX_POINTS + 1, counts=counts)
+        if truncated:
+            raise too_large
         payloads = [rec[1] for rec in records]
+
+        def sources(i):
+            return payloads
+
+        total_points = len(payloads)
         seed_payloads = set(seeds)
         seeds_hit = sum(1 for s in seed_payloads if s in counts)
-        covered_count = len(payloads) - len(seed_payloads) + seeds_hit
+        covered_count = total_points - len(seed_payloads) + seeds_hit
         overlap_payloads = sorted(
             p for p, c in counts.items() if c >= 2 or p not in seed_payloads
         )
+        uncovered_count = 0
         uncovered_payloads: list = []
         seed_cov = [SeedCoverage(space.to_point(s), s in counts) for s in seeds]
     else:
         if space.window is None:
             raise UnsupportedSpaceError(f"no ambient window for space {space.name!r}")
-        payloads = space.window(bound_int, seeds)
-        in_window = set(payloads)
-        cutoffs = [m.source_bound(bound_int) for m in system.maps]
-        if min(cutoffs) < bound_int:
-            # Map i can send q into the window only when size(q) is at most
-            # its source bound, so each point is paired with the maps whose
-            # source bound it meets: those met at each distinct bound form
-            # one tier.  Only the points that meet some bound are kept.
-            levels = sorted(set(cutoffs))
-            tiers = [[(i, image) for i, image in every if cutoffs[i] >= level] for level in levels]
-            size = space.size
-            kept = [
-                (q, tiers[k]) for q in payloads if (k := bisect_left(levels, size(q))) < len(levels)
-            ]
-            sources = kept.__iter__
+        head = islice(space.window(bound_int, seeds), DEFAULT_MAX_POINTS + 1)
+        total_points = sum(1 for _ in head)
+        if total_points > DEFAULT_MAX_POINTS:
+            raise too_large
+        cutoffs = [min(bound_int, m.source_bound(bound_int)) for m in system.maps]
+
+        def sources(i):
+            """Map i sends q into the window only if size(q) is at most its
+            source bound: the window at that bound, in the same order."""
+            return space.window(cutoffs[i], seeds)
+
+        size = space.size
         try:
-            for q, tier in sources():
-                for _, image in tier:
+            for i, image in enumerate(images):
+                for q in sources(i):
                     p = image(q)
-                    if p in in_window:
+                    if size(p) <= bound_int:
                         counts[p] = counts.get(p, 0) + 1
         except ZeroProjectivePointError:
             raise _zero_image(compiled, image, q) from None
         covered_count = len(counts)
         overlap_payloads = sorted(p for p, c in counts.items() if c >= 2)
-        uncovered_payloads = sorted(p for p in payloads if p not in counts)
+        uncovered_count = total_points - covered_count
+        uncovered_payloads = heapq.nsmallest(
+            max_listed, (p for p in space.window(bound_int, seeds) if p not in counts)
+        )
         seed_cov = []
 
+    # Map-major over the same sources, so witnesses come in map order.
     witnesses: dict = {p: [] for p in overlap_payloads[:max_listed]}
     if witnesses:
-        for q, tier in sources():
-            for i, image in tier:
+        for i, image in enumerate(images):
+            for q in sources(i):
                 p = image(q)
                 if p in witnesses:
                     witnesses[p].append((i, space.to_point(q)))
 
-    overlaps = [
-        OverlapRecord(space.to_point(p), tuple(sorted(witnesses[p], key=lambda w: w[0])))
-        for p in overlap_payloads[:max_listed]
-    ]
     return ExactnessReport(
         bound=bound_int,
         window=window,
-        total_points=len(payloads),
+        total_points=total_points,
         covered_count=covered_count,
         overlap_count=len(overlap_payloads),
-        uncovered_count=len(uncovered_payloads),
-        overlaps=overlaps,
-        uncovered=[space.to_point(p) for p in uncovered_payloads[:max_listed]],
+        uncovered_count=uncovered_count,
+        overlaps=[OverlapRecord(space.to_point(p), tuple(w)) for p, w in witnesses.items()],
+        uncovered=[space.to_point(p) for p in uncovered_payloads],
         seed_coverage=seed_cov,
     )
 

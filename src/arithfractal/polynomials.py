@@ -170,6 +170,16 @@ _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 # The largest exponent and total degree a parsed polynomial may have; the
 # fold multiplies once per unit of exponent, so this also bounds its work.
 _MAX_DEGREE = 64
+# The largest bit length a product or power may give a coefficient's
+# numerator or denominator, estimated from its factors before multiplying.
+_MAX_COEFFICIENT_BITS = 4096
+
+
+def _coefficient_bits(p: Polynomial) -> int:
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for _, c in p.terms),
+        default=0,
+    )
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
@@ -177,18 +187,24 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 
     Accepts finite int and float literals, x1..xn, unary + -, binary + - *,
     ^ or ** to a literal integer from 0 to 64, and / by a nonzero constant
-    expression, up to total degree 64.  Anything else raises ConfigError.
+    expression, up to total degree 64.  A product or power whose
+    coefficients would exceed 4096 bits is refused before it is formed.
+    Anything else raises ConfigError.
     """
 
     def constant(value) -> Polynomial:
         return Polynomial(nvars, [((0,) * nvars, value)])
 
-    def capped(degree: int, node) -> None:
+    def capped(degree: int, bits: int, node) -> None:
         if degree > _MAX_DEGREE:
-            raise ConfigError(
-                f"{ast.get_source_segment(source, node)!r} in polynomial {text!r} "
-                f"exceeds the exponent and degree limit {_MAX_DEGREE}"
-            )
+            limit = f"the exponent and degree limit {_MAX_DEGREE}"
+        elif bits > _MAX_COEFFICIENT_BITS:
+            limit = f"the coefficient limit of {_MAX_COEFFICIENT_BITS} bits"
+        else:
+            return
+        raise ConfigError(
+            f"{ast.get_source_segment(source, node)!r} in polynomial {text!r} exceeds {limit}"
+        )
 
     variables = {f"x{i + 1}": (0,) * i + (1,) + (0,) * (nvars - i - 1) for i in range(nvars)}
 
@@ -200,11 +216,17 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 return _UNARY[type(op)](fold(operand))
             case ast.BinOp(left, ast.Mult(), right):
                 a, b = fold(left), fold(right)
-                capped(a.total_degree() + b.total_degree(), node)
+                capped(
+                    a.total_degree() + b.total_degree(),
+                    _coefficient_bits(a) + _coefficient_bits(b),
+                    node,
+                )
                 return a * b
             case ast.BinOp(base, ast.Pow(), ast.Constant(int(e))) if type(e) is int and e >= 0:
                 factor = fold(base)
-                capped(max(e, e * factor.total_degree()), node)
+                capped(
+                    max(e, e * factor.total_degree()), e * _coefficient_bits(factor), node
+                )
                 return reduce(operator.mul, repeat(factor, e), constant(1))
             case ast.BinOp(left, ast.Div(), right) if (d := fold(right)) and d.total_degree() == 0:
                 return fold(left) * constant(1 / d.terms[0][1])

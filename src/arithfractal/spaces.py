@@ -15,14 +15,19 @@ a tuple of Fractions, a canonical tuple of integers, or the ECPoint
 itself.  The entry converts payloads to and from the wrapper point
 classes, puts a payload in canonical form, gives its exact size and the
 kind of that size, reads its JSON value and its command-line literal and
-writes its JSON value, and lists the ambient window of the exactness
-audit.  ``point_space`` is the one lookup from a point's type to its entry.
+writes its JSON value, and streams the ambient window of the exactness
+audit.  A window is a lazy iterable, made afresh on each call: ``range`` on
+Z, rows of a disc on Z[i], and (0:1), (1:0), then (a:b), (a:-b) by rising
+a and b on P^1.  The window at a smaller bound lists exactly the points of
+that size, in the same relative order.  ``point_space`` is the one lookup
+from a point's type to its entry.
 
 Each map kind is likewise written once, as one class: ``image_fn`` and
 ``preimage_fn`` compile a map into closures on payloads, which ``apply``,
 ``preimage``, the breadth-first enumerator and membership descent all
 share; ``weight``, ``problems`` and ``json_fields`` give its Moran weight,
-its validation and its JSON record.
+its validation and its JSON record; ``source_bound`` caps the size of a
+point that the map can send into a window.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence, Union, get_args
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, get_args
 
 from .elliptic import Curve, ECPoint, INFINITY, ec_add, ec_mul
 from .errors import (
@@ -193,26 +198,26 @@ def _ints(value) -> tuple:
     return tuple(_parse_int(c) for c in _json_list(value))
 
 
-def _int_window(bound: int, seeds: list) -> list:
-    return list(range(-bound, bound + 1))
+def _int_window(bound: int, seeds: list) -> range:
+    return range(-bound, bound + 1)
 
 
-def _gauss_window(bound: int, seeds: list) -> list:
+def _gauss_window(bound: int, seeds: list) -> Iterator:
     r = math.isqrt(bound)
-    side = range(-r, r + 1)
-    return [(a, b) for a in side for b in side if a * a + b * b <= bound]
+    for a in range(-r, r + 1):
+        s = math.isqrt(bound - a * a)
+        yield from ((a, b) for b in range(-s, s + 1))
 
 
-def _proj_window(bound: int, seeds: list) -> list:
+def _proj_window(bound: int, seeds: list) -> Iterator:
     if len(seeds[0]) != 2:
         raise UnsupportedSpaceError("ambient window only for the projective line")
-    window = [(0, 1), (1, 0)]
+    yield from ((0, 1), (1, 0))
     for a in range(1, bound + 1):
         for b in range(1, bound + 1):
             if math.gcd(a, b) == 1:
-                window.append((a, b))
-                window.append((a, -b))
-    return window
+                yield a, b
+                yield a, -b
 
 
 class Space(NamedTuple):
@@ -230,7 +235,7 @@ class Space(NamedTuple):
     parse: Callable  # stripped command-line literal -> payload
     tuples: bool = False  # payloads are coordinate tuples of the maps' arity
     enumerable: bool = True
-    window: Optional[Callable] = None  # (bound, seed payloads) -> ambient audit window
+    window: Optional[Callable] = None  # (bound, seed payloads) -> lazy ambient audit window
 
 
 SPACES = {
@@ -310,8 +315,9 @@ class _MapKind:
         )
 
     def source_bound(self, bound: int) -> int:
-        """The largest size of a point whose image can have size <= bound;
-        ``bound`` itself, meaning no cutoff, where none is certified."""
+        """At least the size of every point whose image has size <= bound;
+        ``bound`` itself, meaning no cutoff, where none is certified.  It may
+        exceed ``bound``."""
         return bound
 
     def to_json(self) -> dict:
@@ -347,6 +353,10 @@ class IntAffineMap(_MapKind):
             return None if r else q
 
         return preimage
+
+    def source_bound(self, bound: int) -> int:
+        """|a*q + b| <= bound forces |a|*|q| <= bound + |b|."""
+        return (bound + abs(self.b)) // abs(self.a)
 
     def weight(self, convention: str) -> float:
         return float(abs(self.a))
@@ -389,6 +399,12 @@ class GaussAffineMap(_MapKind):
             return (re // n, im // n)
 
         return preimage
+
+    def source_bound(self, bound: int) -> int:
+        """N(a*z + b) <= bound forces N(a)*N(z) <= (sqrt(bound) + sqrt(N(b)))^2,
+        which is bound + N(b) + 2*sqrt(bound*N(b)), the root rounded up."""
+        nb = gauss_norm(self.b)
+        return (bound + nb + 2 * math.isqrt(bound * nb) + 2) // gauss_norm(self.a)
 
     def weight(self, convention: str) -> float:
         norm = gauss_norm(self.a)

@@ -371,6 +371,7 @@ def _intersect(curve):
         (_intersect("~x1"), "cannot use '~x1'"),
         pytest.param(_intersect("+".join(["x1"] * 1200)), "nested too deeply", id="sum-1200"),
         (_intersect("x1**99999999"), "exponent and degree limit 64"),
+        (_intersect("(((2**64)**64)**64)**64"), "coefficient limit of 4096 bits"),
     ],
 )
 def test_bad_values_are_one_line_naming_the_input(tmp_path, capsys, argv, says):
@@ -474,6 +475,14 @@ def test_zero_image_is_analysis_error(tmp_path, capsys):
         code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
         assert code == 3
         assert "ZeroProjectivePoint" in err and "map 0 sends (4:1)" in err
+
+
+def test_ambient_window_past_point_limit_is_analysis_error(tmp_path, capsys):
+    # Counting stops at the 10,000,001st of the window's 2*10^20 + 1 points.
+    argv = ["audit", Z_BINARY, "--bound", "1e20", "--window", "ambient"]
+    code, out, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 3 and out == ""
+    assert "BoundTooLarge" in err and "more than 10000000 points" in err
 
 
 # --- fuzzed documents and literals -------------------------------------------

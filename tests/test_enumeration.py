@@ -10,6 +10,8 @@ from arithfractal import (
     CORPUS,
     AffPoint,
     FractalSystem,
+    GaussAffineMap,
+    GaussPoint,
     IntAffineMap,
     IntPoint,
     ProjPoint,
@@ -22,14 +24,22 @@ from arithfractal import (
     parse_polynomial,
     replay_certificate,
 )
+from arithfractal import enumeration
 from arithfractal.errors import (
+    BoundTooLargeError,
     ConfigError,
     UndecidedError,
     UnsupportedSpaceError,
     ZeroProjectivePointError,
 )
 from arithfractal.polynomials import Polynomial
-from arithfractal.spaces import SPACES, ProjHomogMap, system_from_dict, validate_system
+from arithfractal.spaces import (
+    SPACES,
+    ProjHomogMap,
+    gauss_norm,
+    system_from_dict,
+    validate_system,
+)
 
 
 def digit_oracle(bound, digits):
@@ -440,9 +450,9 @@ def test_source_bound_tight_on_p1_doubling(p1_doubling):
     assert [m.source_bound(300) for m in p1_doubling.maps] == reach == [17, 24]
 
 
-def brute_ambient_audit(system, bound):
-    """Unpruned: every map applied to every point of the P^1 window."""
-    window = p1_window(bound)
+def brute_ambient_audit(system, window):
+    """Unpruned: every map applied to every point of the window."""
+    to_point = SPACES[system.space].to_point
     in_window = set(window)
     witnesses = {}
     for i, map_ in enumerate(system.maps):
@@ -450,12 +460,12 @@ def brute_ambient_audit(system, bound):
         for q in window:
             p = image(q)
             if p in in_window:
-                witnesses.setdefault(p, []).append((i, ProjPoint(q)))
+                witnesses.setdefault(p, []).append((i, to_point(q)))
     return {
         "total_points": len(window),
         "covered_count": len(witnesses),
-        "overlaps": {ProjPoint(p): sorted(w) for p, w in witnesses.items() if len(w) >= 2},
-        "uncovered": sorted(ProjPoint(q) for q in window if q not in witnesses),
+        "overlaps": {to_point(p): sorted(w) for p, w in witnesses.items() if len(w) >= 2},
+        "uncovered": sorted(to_point(q) for q in window if q not in witnesses),
     }
 
 
@@ -475,7 +485,7 @@ def pruned_ambient_audit(system, bound):
 @pytest.mark.parametrize("name", ["p1-doubling", "p1-powers2-full"])
 def test_ambient_audit_matches_brute_force(name, bound):
     system = load_corpus_system(name)
-    assert pruned_ambient_audit(system, bound) == brute_ambient_audit(system, bound)
+    assert pruned_ambient_audit(system, bound) == brute_ambient_audit(system, p1_window(bound))
 
 
 @settings(max_examples=25, deadline=None)
@@ -487,28 +497,118 @@ def test_ambient_audit_matches_brute_force_random(maps, bound):
         (ProjPoint((0, 1)),),
         "random",
     )
-    assert pruned_ambient_audit(system, bound) == brute_ambient_audit(system, bound)
+    assert pruned_ambient_audit(system, bound) == brute_ambient_audit(system, p1_window(bound))
 
 
-def test_ambient_audit_image_calls(p1_doubling, monkeypatch):
+def test_ambient_audit_image_calls(monkeypatch):
     calls = 0
-    image_fn = ProjHomogMap.image_fn
+    for map_kind in (IntAffineMap, GaussAffineMap, ProjHomogMap):
 
-    def counting_image_fn(self):
-        image = image_fn(self)
+        def counting_image_fn(self, image_fn=map_kind.image_fn):
+            image = image_fn(self)
 
-        def counted(q):
-            nonlocal calls
-            calls += 1
-            return image(q)
+            def counted(q):
+                nonlocal calls
+                calls += 1
+                return image(q)
 
-        return counted
+            return counted
 
-    monkeypatch.setattr(ProjHomogMap, "image_fn", counting_image_fn)
-    report = audit_exactness(p1_doubling, 300, window="ambient")
-    assert report.overlap_count  # so the witness pass runs too
-    # Both passes over all 109,592 window points would make 438,368 calls.
-    assert 0 < calls <= 2_500
+        monkeypatch.setattr(map_kind, "image_fn", counting_image_fn)
+    # Both passes over every window point with every map would make 438,368
+    # calls on p1-doubling, 80,004 on z-2x3x and 25,706 on gauss-base (no
+    # overlaps, so one pass).
+    for name, bound, limit in [
+        ("p1-doubling", 300, 2_500),
+        ("z-2x3x", 10**4, 35_000),
+        ("gauss-base", 4096, 14_000),
+    ]:
+        calls = 0
+        report = audit_exactness(load_corpus_system(name), bound, window="ambient")
+        assert report.overlap_count or name == "gauss-base"  # so the witness pass runs
+        assert 0 < calls <= limit, name
+
+
+def test_ambient_audit_memory(p1_doubling):
+    # The window is streamed: listing its 109,592 points took 14.5 MiB.
+    tracemalloc.start()
+    try:
+        audit_exactness(p1_doubling, 300, window="ambient")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+# --- certified source bounds on Z and Z[i] ------------------------------------
+
+
+def lattice_window(space, bound):
+    """Every point of Z or Z[i] of size at most the bound, unordered."""
+    side = range(-bound, bound + 1)
+    if space == "int":
+        return list(side)
+    return [(a, b) for a in side for b in side if a * a + b * b <= bound]
+
+
+_INT_MAPS = st.builds(
+    IntAffineMap,
+    st.integers(2, 6) | st.integers(-6, -2),
+    st.integers(-30, 30).filter(bool),
+)
+_GAUSS = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda p: GaussPoint(*p))
+_GAUSS_MAPS = st.builds(
+    GaussAffineMap,
+    _GAUSS.filter(lambda a: gauss_norm(a) >= 2),
+    _GAUSS.filter(any),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([("int", _INT_MAPS), ("gauss", _GAUSS_MAPS)]).flatmap(
+        lambda kind: st.tuples(st.just(kind[0]), st.lists(kind[1], min_size=1, max_size=3))
+    ),
+    st.integers(0, 120),
+)
+def test_lattice_source_bounds_against_unpruned_audit(space_maps, bound):
+    space, maps = space_maps
+    seed = IntPoint(0) if space == "int" else GaussPoint(0, 0)
+    system = FractalSystem(space, tuple(maps), (seed,), "random")
+    window = lattice_window(space, bound)
+    size = SPACES[space].size
+    for map_ in maps:
+        image, cutoff = map_.image_fn(), map_.source_bound(bound)
+        assert all(size(q) <= cutoff for q in window if size(image(q)) <= bound)
+    assert pruned_ambient_audit(system, bound) == brute_ambient_audit(system, window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GAUSS_MAPS, st.integers(0, 10**6))
+def test_gauss_source_bound_rounds_outward(map_, bound):
+    # The next size breaks N(a)*n <= (sqrt(bound) + sqrt(N(b)))^2, the real
+    # bound, which holds exactly when N(a)*n - bound - N(b) <= 2*sqrt(bound*N(b)).
+    norm_a, norm_b = gauss_norm(map_.a), gauss_norm(map_.b)
+    excess = norm_a * (map_.source_bound(bound) + 1) - bound - norm_b
+    assert excess > 0 and excess**2 > 4 * bound * norm_b
+
+
+@pytest.mark.parametrize(
+    "window, name, bound, points",
+    [
+        ("orbit", "z-2x3x", 10**6, 142),
+        ("ambient", "z-binary", 70, 141),
+        ("ambient", "gauss-base", 30, 97),
+        ("ambient", "p1-doubling", 10, 128),
+    ],
+)
+def test_audit_window_point_limit(monkeypatch, window, name, bound, points):
+    system = load_corpus_system(name)
+    monkeypatch.setattr(enumeration, "DEFAULT_MAX_POINTS", points)
+    assert audit_exactness(system, bound, window).total_points == points
+    monkeypatch.setattr(enumeration, "DEFAULT_MAX_POINTS", points - 1)
+    with pytest.raises(BoundTooLargeError, match=f"more than {points - 1} points"):
+        audit_exactness(system, bound, window)
 
 
 def test_audit_gauss_clean_small(gauss_base):

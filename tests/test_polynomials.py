@@ -157,6 +157,7 @@ _REJECTED = [
     pytest.param("x1**65", id="exponent-above-64"),
     pytest.param("(x1*x2)**33", id="power-above-degree-64"),
     pytest.param("x1**40 * x2**25", id="product-above-degree-64"),
+    pytest.param("(((2**64)**64)**64)**64", id="coefficient-above-4096-bits"),
 ]
 
 
@@ -171,3 +172,14 @@ def test_degree_limit_is_inclusive():
     assert parse_polynomial("(x1^8)^8", 2) == parse_polynomial("x1^64", 2)
     assert parse_polynomial("x1**40 * x2**24", 2).total_degree() == 64
     assert len(parse_polynomial("(x1+x2)**64", 2).terms) == 65
+
+
+def test_coefficient_limit_checked_before_multiplying():
+    # 63 factors of a 65-bit constant are estimated at 4,095 bits, 64 at 4,160.
+    assert parse_polynomial("(2**64)**63", 1) == parse_polynomial(str(2**4032), 1)
+    assert parse_polynomial("(0.1*x1)**64", 1).total_degree() == 64
+    limit = r"'\(2\*\*64\)\*\*64' in polynomial .* exceeds the coefficient limit of 4096 bits"
+    with pytest.raises(ConfigError, match=limit):
+        parse_polynomial("((2**64)**64)**64", 1)
+    with pytest.raises(ConfigError, match="coefficient limit"):
+        parse_polynomial(f"{2**2048} * {2**2048} * x1", 1)
