@@ -46,7 +46,7 @@ from .spaces import (
     FractalSystem,
     load_system,
     parse_point,
-    validate_system,
+    require_valid,
 )
 
 EXIT_OK = 0
@@ -104,12 +104,7 @@ def _load(path_text: str) -> FractalSystem:
     path = Path(path_text)
     if not path.exists():
         raise ConfigError(f"MissingFile: {path}")
-    system = load_system(path)
-    violations = validate_system(system)
-    if violations:
-        lines = "; ".join(f"{v.code} at {v.where} {v.index}: {v.message}" for v in violations)
-        raise ConfigError(f"system fails validation: {lines}")
-    return system
+    return require_valid(load_system(path))
 
 
 def _parse_curve(text: str) -> Curve:

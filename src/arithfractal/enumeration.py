@@ -40,7 +40,7 @@ from .spaces import (
     apply,
     as_bound,
     point_space,
-    validate_system,
+    require_valid,
 )
 
 DEFAULT_MAX_POINTS = 10_000_000
@@ -58,15 +58,15 @@ class PointBag:
 
     The ordered views (``entries``, ``points``) list points by (size,
     coordinate order), so a bag at a smaller bound is a prefix of the bag
-    at a larger one.  Until the first ordered access the bag holds one
+    at a larger one.  Until ``entries`` is first read the bag holds one
     ``(size, payload, depth)`` record per point, in discovery order.
     ``entries`` sorts those records in their natural tuple order (size
     first, then payload; payloads are distinct) and replaces each one by
     its ``BagEntry`` in the same list, so the bag never holds a record and
     an entry for one point; consecutive entries of equal size share one
-    ``SizeValue``.  ``len``, ``raw_sizes``, ``log_sizes`` and
-    ``has_payload`` read either form, so counting and membership never pay
-    for materialization.
+    ``SizeValue``.  ``len``, ``points``, ``raw_sizes``, ``log_sizes`` and
+    ``has_payload`` read either form, so listing, counting and membership
+    never pay for materialization.
     """
 
     def __init__(self, label, space, bound, size_kind, records, to_point, truncated):
@@ -104,7 +104,9 @@ class PointBag:
         return items
 
     def points(self) -> list[SpacePoint]:
-        return [e.point for e in self.entries]
+        if self._materialized:
+            return [e.point for e in self._items]
+        return [self._to_point(r[1]) for r in sorted(self._items)]
 
     def raw_sizes(self) -> list[int]:
         """Sizes in nondecreasing order (a linear read once entries exist)."""
@@ -137,9 +139,7 @@ class PointBag:
 def _compile(system: FractalSystem, bound_int: int) -> tuple[Space, list, list]:
     """The validated system as its space entry, its seed payloads and one
     image closure per map, in map order."""
-    violations = validate_system(system)
-    if violations:
-        raise ConfigError(f"invalid system: {violations[0].message}")
+    require_valid(system)
     space = SPACES[system.space]
     if not space.enumerable:
         raise UnsupportedSpaceError(
@@ -152,13 +152,6 @@ def _compile(system: FractalSystem, bound_int: int) -> tuple[Space, list, list]:
                 f"bound {bound_int} is below the size of seed {space.to_point(payload)}"
             )
     return space, seeds, [m.image_fn() for m in system.maps]
-
-
-def _zero_image(compiled: tuple, image, payload) -> ZeroProjectivePointError:
-    space, _, images = compiled
-    return ZeroProjectivePointError(
-        f"map {images.index(image)} sends {space.to_point(payload)} to (0:...:0)"
-    )
 
 
 def _raw_orbit(
@@ -213,17 +206,20 @@ def _raw_orbit(
                         if counts is not None:
                             counts[child] = counts.get(child, 0) + 1
                         continue
-                    seen_add(child)
-                    rec_append((child_size, child, depth))
-                    next_append(child)
                     if len(records) >= max_points:
                         truncated = True
                         break
+                    seen_add(child)
+                    rec_append((child_size, child, depth))
+                    next_append(child)
                 if truncated:
                     break
             frontier = next_frontier
     except ZeroProjectivePointError:
-        raise _zero_image(compiled, image, payload) from None
+        # Only on P^n with n >= 2: on P^1 validation rules out common zeros.
+        raise ZeroProjectivePointError(
+            f"map {images.index(image)} sends {space.to_point(payload)} to (0:...:0)"
+        ) from None
     return records, truncated
 
 
@@ -236,7 +232,8 @@ def enumerate_system(
 
     Output order is deterministic: sorted by (size, coordinate order), a
     sort the bag defers to its first ordered access.  When max_points is
-    hit the BFS stops there and the bag is flagged truncated.
+    hit and one more point is found, the BFS stops there and the bag is
+    flagged truncated.
     """
     if max_points < 1:
         raise ConfigError(f"max_points must be at least 1, got {max_points}")
@@ -416,7 +413,7 @@ def audit_exactness(
         # itself in the orbit.  Every non-seed point is covered by its
         # discovery, so the BFS tallies only repeat hits (see _raw_orbit)
         # and nothing is uncovered.
-        records, truncated = _raw_orbit(compiled, bound_int, DEFAULT_MAX_POINTS + 1, counts=counts)
+        records, truncated = _raw_orbit(compiled, bound_int, DEFAULT_MAX_POINTS, counts=counts)
         if truncated:
             raise too_large
         payloads = [rec[1] for rec in records]
@@ -449,14 +446,11 @@ def audit_exactness(
             return space.window(cutoffs[i], seeds)
 
         size = space.size
-        try:
-            for i, image in enumerate(images):
-                for q in sources(i):
-                    p = image(q)
-                    if size(p) <= bound_int:
-                        counts[p] = counts.get(p, 0) + 1
-        except ZeroProjectivePointError:
-            raise _zero_image(compiled, image, q) from None
+        for i, image in enumerate(images):
+            for q in sources(i):
+                p = image(q)
+                if size(p) <= bound_int:
+                    counts[p] = counts.get(p, 0) + 1
         covered_count = len(counts)
         overlap_payloads = sorted(p for p, c in counts.items() if c >= 2)
         uncovered_count = total_points - covered_count

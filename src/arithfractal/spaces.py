@@ -27,7 +27,9 @@ Each map kind is likewise written once, as one class: ``image_fn`` and
 ``preimage``, the breadth-first enumerator and membership descent all
 share; ``weight``, ``problems`` and ``json_fields`` give its Moran weight,
 its validation and its JSON record; ``source_bound`` caps the size of a
-point that the map can send into a window.
+point that the map can send into an ambient window.  On P^1 validation is
+exact, Res(F, G) != 0 read off the Sylvester solve behind the source bound;
+on P^n with n >= 2 it scans a small grid for common zeros.
 """
 
 from __future__ import annotations
@@ -314,12 +316,6 @@ class _MapKind:
             f"preimage not available for map kind {self.kind!r}"
         )
 
-    def source_bound(self, bound: int) -> int:
-        """At least the size of every point whose image has size <= bound;
-        ``bound`` itself, meaning no cutoff, where none is certified.  It may
-        exceed ``bound``."""
-        return bound
-
     def to_json(self) -> dict:
         values = (getattr(self, f.name) for f in fields(self))
         record = {key: fmt(v) for (key, _, fmt), v in zip(self.json_fields, values)}
@@ -482,30 +478,36 @@ class PolyTupleMap(_MapKind):
 
 def _sylvester_solutions(forms: Sequence[Polynomial], d: int) -> Optional[list]:
     """Coefficients (U then V, by rising power of y) of the solutions of
-    U*F + V*G = x^(2d-1) and = y^(2d-1) for binary forms F, G of degree d,
-    with deg U = deg V = d-1; None when the Sylvester matrix is singular."""
-    f, g = ([Fraction(0)] * (d + 1) for _ in forms)
+    U*F + V*G = x^(2d-1) and = y^(2d-1) for integer binary forms F, G of
+    degree d, with deg U = deg V = d-1; None exactly when the Sylvester
+    matrix is singular, that is when Res(F, G) = 0."""
+    f, g = ([0] * (d + 1) for _ in forms)
     for coeffs, form in zip((f, g), forms):
         for (_, y_exp), c in form.terms:
-            coeffs[y_exp] = c
+            coeffs[y_exp] = int(c)
     n = 2 * d
     # Row k holds the coefficient of x^(n-1-k) y^k, then the two right-hand sides.
     rows = [
-        [h[k - j] if 0 <= k - j <= d else Fraction(0) for h in (f, g) for j in range(d)]
-        + [Fraction(k == 0), Fraction(k == n - 1)]
+        [h[k - j] if 0 <= k - j <= d else 0 for h in (f, g) for j in range(d)]
+        + [int(k == 0), int(k == n - 1)]
         for k in range(n)
     ]
+    # Gauss-Jordan on integer rows, each divided by its content after every
+    # step; Fractions are formed only from the final diagonal.
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = [v / rows[col][col] for v in rows[col]]
-        rows = [
-            top if r == col else [v - row[col] * t for v, t in zip(row, top)]
-            for r, row in enumerate(rows)
-        ]
-    return [[row[n] for row in rows], [row[n + 1] for row in rows]]
+        top = rows[col]
+        p = top[col]
+        for r, row in enumerate(rows):
+            c = row[col]
+            if c and r != col:
+                row = [p * v - c * t for v, t in zip(row, top)]
+                content = math.gcd(*row) or 1  # a singular system may zero a row
+                rows[r] = [v // content for v in row]
+    return [[Fraction(row[n + rhs], row[k]) for k, row in enumerate(rows)] for rhs in (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -539,14 +541,10 @@ class ProjHomogMap(_MapKind):
         for y^(2d-1).  K is the larger l1 norm ||U|| + ||V|| of the two, so
         max(|F(a,b)|, |G(a,b)|) >= H^d / K; D is the lcm of the denominators
         of all four, so for coprime (a, b) the gcd of F(a,b) and G(a,b)
-        divides D (Call-Silverman).  Off P^1, for forms that fail validation,
-        or when Res(F, G) = 0, there is no cutoff.
+        divides D (Call-Silverman).  Defined for maps on P^1 that pass
+        validation, so that Res(F, G) != 0.
         """
-        if self.nvars() != 2 or any(self.problems(None)):
-            return bound
         solutions = _sylvester_solutions(self.forms, self.degree())
-        if solutions is None:
-            return bound
         norm = max(sum(map(abs, solution)) for solution in solutions)
         lcm = math.lcm(*(c.denominator for solution in solutions for c in solution))
         return _floor_root(math.floor(norm * lcm * bound), self.degree())
@@ -570,8 +568,10 @@ class ProjHomogMap(_MapKind):
         if any(not f.has_integer_coefficients() for f in forms):
             yield "NonIntegerForm", "forms need integer coefficients"
             return
-        zero = _common_zero_on_grid(forms)
-        if zero is not None:
+        if len(forms) == 2:
+            if _sylvester_solutions(forms, self.degree()) is None:
+                yield "CommonFactor", "Res(F, G) = 0: the forms share a factor"
+        elif (zero := _common_zero_on_grid(forms)) is not None:
             yield "CommonZeroOnGrid", f"forms vanish simultaneously at {zero}"
 
 
@@ -715,13 +715,11 @@ class Violation(NamedTuple):
     message: str
 
 
-# Grid of small integer tuples used as a spot check that homogeneous forms
-# have no common nontrivial rational zero; exact elimination is out of scope.
-_COMMON_ZERO_GRID_RADIUS = 3
-
-
 def _common_zero_on_grid(forms: Sequence[Polynomial]) -> Optional[tuple[int, ...]]:
-    side = range(-_COMMON_ZERO_GRID_RADIUS, _COMMON_ZERO_GRID_RADIUS + 1)
+    """A nonzero point of the grid [-3, 3]^(n+1) where all forms vanish: the
+    spot check for a common rational zero on P^n with n >= 2.  On P^1 the
+    resultant test of ``ProjHomogMap.problems`` is exact instead."""
+    side = range(-3, 4)
     for candidate in itertools.product(side, repeat=forms[0].nvars):
         if any(candidate) and all(f.evaluate_int(candidate) == 0 for f in forms):
             return candidate
@@ -766,6 +764,16 @@ def validate_system(system: FractalSystem) -> list[Violation]:
         elif system.space == "ec" and system.curve and not system.curve.contains(seed):
             violations.append(Violation("SeedNotOnCurve", "seed", j, f"seed {seed} not on curve"))
     return violations
+
+
+def require_valid(system: FractalSystem) -> FractalSystem:
+    """The system itself when it is valid, else ConfigError naming every
+    violation with its code and its map or seed index."""
+    violations = validate_system(system)
+    if violations:
+        lines = "; ".join(f"{v.code} at {v.where} {v.index}: {v.message}" for v in violations)
+        raise ConfigError(f"system fails validation: {lines}")
+    return system
 
 
 # ---------------------------------------------------------------------------

@@ -457,24 +457,42 @@ def test_rerun_of_census_manifest_with_threads(tmp_path, capsys):
 
 
 def test_zero_image_is_analysis_error(tmp_path, capsys):
-    # (x^2 - 16y^2 : xy - 4y^2) vanishes at (4:1), off the validation grid.
-    doc = {
+    # (x1^2 - 16x2^2 : x1x2 - 4x2^2 : x3^2) vanishes only at (4:1:0), off the
+    # grid that validation scans on P^2.  On P^1 the first two forms fail
+    # validation instead: they share the factor x1 - 4x2.
+    forms = [
+        [{"coeff": "1", "exponents": [2, 0, 0]}, {"coeff": "-16", "exponents": [0, 2, 0]}],
+        [{"coeff": "1", "exponents": [1, 1, 0]}, {"coeff": "-4", "exponents": [0, 2, 0]}],
+        [{"coeff": "1", "exponents": [0, 0, 2]}],
+    ]
+    plane = {
+        "space": "projq",
+        "label": "zero-at-4-1-0",
+        "maps": [{"kind": "proj_homog", "forms": forms}],
+        "seeds": [["4", "1", "0"]],
+    }
+    line = {
         "space": "projq",
         "label": "zero-at-4-1",
         "maps": [{"kind": "proj_homog", "forms": [
-            [{"coeff": "1", "exponents": [2, 0]}, {"coeff": "-16", "exponents": [0, 2]}],
-            [{"coeff": "1", "exponents": [1, 1]}, {"coeff": "-4", "exponents": [0, 2]}],
+            [{**term, "exponents": term["exponents"][:2]} for term in form]
+            for form in forms[:2]
         ]}],
         "seeds": [["4", "1"]],
     }
     path = tmp_path / "zero.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(plane))
     for argv in (["enumerate", str(path), "--bound", "100"],
-                 ["audit", str(path), "--bound", "100"],
-                 ["audit", str(path), "--bound", "10", "--window", "ambient"]):
+                 ["audit", str(path), "--bound", "100"]):
         code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
         assert code == 3
-        assert "ZeroProjectivePoint" in err and "map 0 sends (4:1)" in err
+        assert "ZeroProjectivePoint" in err and "map 0 sends (4:1:0)" in err
+    path.write_text(json.dumps(line))
+    for argv in (["enumerate", str(path), "--bound", "100"],
+                 ["audit", str(path), "--bound", "10", "--window", "ambient"]):
+        code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+        assert code == 2
+        assert "system fails validation: CommonFactor at map 0: " in err
 
 
 def test_ambient_window_past_point_limit_is_analysis_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from arithfractal import (
     replay_certificate,
 )
 from arithfractal import enumeration
+from arithfractal.cli import main
 from arithfractal.errors import (
     BoundTooLargeError,
     ConfigError,
@@ -36,8 +38,10 @@ from arithfractal.polynomials import Polynomial
 from arithfractal.spaces import (
     SPACES,
     ProjHomogMap,
+    _sylvester_solutions,
     gauss_norm,
     system_from_dict,
+    system_to_dict,
     validate_system,
 )
 
@@ -97,18 +101,20 @@ def test_bag_sorted_and_deduplicated(q2_powers2):
 
 @pytest.mark.parametrize("name", ["z-2x3x", "gauss-base", "p1-powers2-full", "q2-powers2"])
 def test_sizes_same_before_and_after_ordering(name):
-    # Sizes and membership read the records until entries replaces them.
+    # Points, sizes and membership read the records until entries replaces them.
     system = load_corpus_system(name)
     space = SPACES[system.space]
     probes = [space.payload(e.point) for e in enumerate_system(system, 2**9).entries]
     bag = enumerate_system(system, 2**8)
     length = len(bag)
+    points = bag.points()
     sizes = bag.raw_sizes()
     logs = bag.log_sizes()
     held = [bag.has_payload(p) for p in probes]
     assert held == [space.size(p) <= 2**8 for p in probes]
     assert 0 < sum(held) < len(probes)
     assert [e.size.raw for e in bag.entries] == sizes
+    assert [e.point for e in bag.entries] == points == bag.points()
     assert len(bag) == length == len(bag.entries)
     assert bag.raw_sizes() == sizes
     assert bag.log_sizes() == logs == [e.size.log_size for e in bag.entries]
@@ -162,6 +168,13 @@ def test_truncation_flag(z_binary):
     bag = enumerate_system(z_binary, 10**6, max_points=100)
     assert bag.truncated
     assert len(bag) == 100
+
+
+@pytest.mark.parametrize("max_points, truncated", [(141, True), (142, False), (143, False)])
+def test_truncation_flag_only_when_points_are_left(z_2x3x, max_points, truncated):
+    # z-2x3x has 142 points up to 10^6: a bag that holds them all is complete.
+    bag = enumerate_system(z_2x3x, 10**6, max_points=max_points)
+    assert (len(bag), bag.truncated) == (min(max_points, 142), truncated)
 
 
 def test_depths_are_generations(digits01):
@@ -252,6 +265,14 @@ def test_member_fallback_truncated_bag_undecided(p1_full):
     with pytest.raises(UndecidedError, match=message):
         is_member(p1_full, ProjPoint((2**20, 1)), fallback_bag=truncated)
     assert is_member(p1_full, ProjPoint((2**20, 1))).member
+
+
+def test_member_fallback_on_complete_bag_decides(p1_full):
+    # p1-powers2-full has 21 points up to 2^10; a bag capped at exactly 21
+    # holds them all, so a point missing from it is not a member.
+    complete = enumerate_system(p1_full, 2**10, max_points=21)
+    assert len(complete) == 21 and not complete.truncated
+    assert not is_member(p1_full, ProjPoint((3, 1)), fallback_bag=complete).member
 
 
 # --- exactness audit ---------------------------------------------------------
@@ -428,6 +449,57 @@ def p1_window(bound):
 _COEFFS = st.integers(2, 3).flatmap(
     lambda d: st.tuples(*[st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1)] * 2)
 ).filter(lambda coeffs: resultant(*coeffs) != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COEFFS)
+def test_sylvester_solutions_solve_bezout(coeffs):
+    forms = tuple(binary_form(c) for c in coeffs)
+    d = len(coeffs[0]) - 1
+    solutions = _sylvester_solutions(forms, d)
+    for solution, power in zip(solutions, ((2 * d - 1, 0), (0, 2 * d - 1))):
+        u, v = binary_form(solution[:d]), binary_form(solution[d:])
+        assert u * forms[0] + v * forms[1] == Polynomial(2, [(power, 1)])
+
+
+def _p1_codes(forms):
+    return [code for code, _ in ProjHomogMap(tuple(forms)).problems(None)]
+
+
+def _nonzero_binary_form(degree):
+    coeffs = st.lists(st.integers(-4, 4), min_size=degree + 1, max_size=degree + 1)
+    return coeffs.filter(any).map(binary_form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(
+        lambda ek: st.tuples(*map(_nonzero_binary_form, (ek[0], ek[1], ek[1])))
+    )
+)
+def test_planted_common_factor_is_rejected(factors):
+    # H*A : H*B with H linear or quadratic share the factor H.
+    h, a, b = factors
+    assert _p1_codes((h * a, h * b)) == ["CommonFactor"]
+
+
+# Pairs of nonzero binary forms of degree 2 to 4 with small coefficients, so
+# that shared roots such as (1:0), (0:1) or (1:-1) turn up often.
+_ANY_PAIR = st.integers(2, 4).flatmap(
+    lambda d: st.tuples(
+        *[st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1).filter(any)] * 2
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ANY_PAIR)
+def test_p1_forms_validate_exactly_when_resultant_is_nonzero(coeffs):
+    forms = [binary_form(c) for c in coeffs]
+    codes = _p1_codes(forms)
+    assert codes == ([] if resultant(*coeffs) != 0 else ["CommonFactor"])
+    if any(all(f.evaluate_int(q) == 0 for f in forms) for q in p1_window(10)):
+        assert codes == ["CommonFactor"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -674,8 +746,8 @@ def _form(*terms):
     return [{"coeff": c, "exponents": e} for c, e in terms]
 
 
-# (x^2 - 16y^2 : xy - 4y^2) vanishes at (4:1), which lies off the radius-3
-# grid of the common-zero check, so the system validates.
+# (x^2 - 16y^2 : xy - 4y^2) vanishes at (4:1): the forms share the factor
+# x - 4y, so the system fails validation.
 _ZERO_AT_4_1 = {
     "space": "projq",
     "label": "zero-at-4-1",
@@ -686,25 +758,37 @@ _ZERO_AT_4_1 = {
     "seeds": [["4", "1"]],
 }
 
+# (x1^2 - 16x2^2 : x1x2 - 4x2^2 : x3^2) vanishes only at (4:1:0), which lies
+# off the radius-3 grid of the common-zero check on P^2, so the system
+# validates.
+_ZERO_AT_4_1_0 = {
+    "space": "projq",
+    "label": "zero-at-4-1-0",
+    "maps": [{"kind": "proj_homog", "forms": [
+        _form(("1", [2, 0, 0]), ("-16", [0, 2, 0])),
+        _form(("1", [1, 1, 0]), ("-4", [0, 2, 0])),
+        _form(("1", [0, 0, 2])),
+    ]}],
+    "seeds": [["4", "1", "0"]],
+}
+
 
 def test_zero_image_names_map_and_point():
-    system = system_from_dict(_ZERO_AT_4_1)
+    system = system_from_dict(_ZERO_AT_4_1_0)
+    assert not validate_system(system)
     with pytest.raises(ZeroProjectivePointError):
-        apply(system.maps[0], ProjPoint((4, 1)))
-    message = r"map 0 sends \(4:1\) to \(0:\.\.\.:0\)"
+        apply(system.maps[0], ProjPoint((4, 1, 0)))
+    message = r"map 0 sends \(4:1:0\) to \(0:\.\.\.:0\)"
     with pytest.raises(ZeroProjectivePointError, match=message):
         enumerate_system(system, 100)
     with pytest.raises(ZeroProjectivePointError, match=message):
         audit_exactness(system, 100)
-    with pytest.raises(ZeroProjectivePointError, match=message):
-        audit_exactness(system, 10, window="ambient")
 
 
-def test_forms_with_a_common_factor_get_no_cutoff():
-    # ((x^2 + y^2) x : (x^2 + y^2) y) validates, as x^2 + y^2 has no real
-    # zero but (0, 0), and acts as the identity on P^1(Q): every window point
-    # is covered.  Res = 0, so no cutoff applies; B^(1/3) would leave most of
-    # the window uncovered.
+def test_forms_with_a_common_factor_get_no_cutoff(tmp_path, capsys):
+    # ((x^2 + y^2) x : (x^2 + y^2) y) acts as the identity on P^1(Q), and
+    # the forms of _ZERO_AT_4_1 share the factor x - 4y.  Res = 0 for both,
+    # so neither is an endomorphism and neither reaches a source bound.
     identity = system_from_dict({
         "space": "projq",
         "label": "identity-times-x2-plus-y2",
@@ -714,9 +798,20 @@ def test_forms_with_a_common_factor_get_no_cutoff():
         ]}],
         "seeds": [["1", "1"]],
     })
-    assert not validate_system(identity)
-    report = audit_exactness(identity, 50, window="ambient")
-    assert report.exact and report.covered_count == report.total_points
-    shared_root = system_from_dict(_ZERO_AT_4_1)
-    for system in (identity, shared_root):
-        assert [m.source_bound(b) for m in system.maps for b in (10, 50)] == [10, 50]
+    message = r"^system fails validation: CommonFactor at map 0: "
+    for system in (identity, system_from_dict(_ZERO_AT_4_1)):
+        assert [(v.code, v.where, v.index) for v in validate_system(system)] == [
+            ("CommonFactor", "map", 0)
+        ]
+        with pytest.raises(ConfigError, match=message):
+            enumerate_system(system, 100)
+        with pytest.raises(ConfigError, match=message):
+            audit_exactness(system, 10, window="ambient")
+    # dim gave {identity in disguise, (x^2 : y^2)} the dimension 0.788.
+    squares = load_corpus_system("p1-doubling").maps[0]
+    path = tmp_path / "identity.json"
+    doc = system_to_dict(FractalSystem("projq", identity.maps + (squares,), identity.seeds))
+    path.write_text(json.dumps(doc))
+    assert main(["--out-dir", str(tmp_path), "dim", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "CommonFactor at map 0" in err and "map 1" not in err

@@ -214,12 +214,18 @@ def test_validate_projective_degree_rule():
 def test_validate_common_zero_grid():
     from arithfractal.spaces import ProjHomogMap
 
-    # Forms x1*x2 : x1*x2 vanish at (1:0) and (0:1).
-    cross = Polynomial(2, [((1, 1), Fraction(1))])
-    bad = FractalSystem(
-        "projq", (ProjHomogMap((cross, cross)),), (ProjPoint((1, 1)),), "zeros"
-    )
-    assert any(v.code == "CommonZeroOnGrid" for v in validate_system(bad))
+    def monomial(*exponents):
+        return Polynomial(len(exponents), [(exponents, Fraction(1))])
+
+    # On P^2, x1*x2 : x1*x3 : x2*x3 vanish at (1:0:0), (0:1:0) and (0:0:1).
+    plane = ProjHomogMap((monomial(1, 1, 0), monomial(1, 0, 1), monomial(0, 1, 1)))
+    bad = FractalSystem("projq", (plane,), (ProjPoint((1, 1, 1)),), "zeros")
+    assert [v.code for v in validate_system(bad)] == ["CommonZeroOnGrid"]
+    # On P^1, x1*x2 : x1*x2 vanish at (1:0) and (0:1); the exact resultant
+    # test rejects them, not the grid.
+    line = ProjHomogMap((monomial(1, 1), monomial(1, 1)))
+    bad = FractalSystem("projq", (line,), (ProjPoint((1, 1)),), "zeros")
+    assert [v.code for v in validate_system(bad)] == ["CommonFactor"]
 
 
 # --- serialization --------------------------------------------------------
