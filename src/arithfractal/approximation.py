@@ -36,7 +36,8 @@ def chordal_distance(p, q) -> float:
     num = a * d - b * c
     if num == 0:
         return 0.0
-    return math.sqrt(float(Fraction(num * num, (a * a + b * b) * (c * c + d * d))))
+    # int / int is correctly rounded, like float(Fraction(...)), with no gcd.
+    return math.sqrt(num * num / ((a * a + b * b) * (c * c + d * d)))
 
 
 def _pair(p) -> tuple[int, int]:

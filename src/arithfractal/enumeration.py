@@ -175,6 +175,8 @@ def _raw_orbit(
     space, seeds, images = compiled
     size_fn = space.size
     frontier = list(dict.fromkeys(seeds))
+    if len(frontier) > max_points:
+        raise ConfigError(f"max_points {max_points} is below the {len(frontier)} distinct seeds")
     seen = set(frontier)
     records = [(size_fn(p), p, 0) for p in frontier]  # (size, payload, depth)
 
@@ -233,7 +235,8 @@ def enumerate_system(
     Output order is deterministic: sorted by (size, coordinate order), a
     sort the bag defers to its first ordered access.  When max_points is
     hit and one more point is found, the BFS stops there and the bag is
-    flagged truncated.
+    flagged truncated.  Seeds count as points, so max_points below the
+    number of distinct seeds raises ConfigError.
     """
     if max_points < 1:
         raise ConfigError(f"max_points must be at least 1, got {max_points}")
@@ -307,29 +310,30 @@ def _descend(system: FractalSystem, space: Space, payload, depth_limit: int) -> 
     if payload in seeds:
         return MembershipResult(True, space.to_point(payload), (), False)
     preimages = [m.preimage_fn() for m in system.maps]
-    # Depth-first search through preimages.  The visited set makes the walk
-    # finite: outside the basin radius preimages strictly shrink, inside it
-    # only finitely many points exist.
-    stack = [(payload, ())]
-    visited = {payload}
+    # Depth-first search through preimages.  ``links`` sends each visited
+    # point to (child, map index), its step towards the query; as the visited
+    # set it makes the walk finite: outside the basin radius preimages
+    # strictly shrink, inside it only finitely many points exist.
+    links = {payload: None}
+    stack = [(payload, 0)]
     while stack:
-        current, back_path = stack.pop()
-        if len(back_path) >= depth_limit:
+        current, depth = stack.pop()
+        if depth >= depth_limit:
             raise UndecidedError(
                 f"membership descent hit depth limit {depth_limit} for {space.to_point(payload)}"
             )
         for i, preimage in enumerate(preimages):
-            parent = preimage(current)
-            if parent is None:
-                continue
-            if parent in seeds:
-                # Forward replay: the descent step via map i comes first,
-                # then the earlier backward steps in reverse order.
-                forward = (i,) + tuple(reversed(back_path))
-                return MembershipResult(True, space.to_point(parent), forward, False)
-            if parent not in visited:
-                visited.add(parent)
-                stack.append((parent, back_path + (i,)))
+            for parent in preimage(current):
+                if parent in seeds:
+                    # Forward replay: map i from the seed, then the links.
+                    path = [i]
+                    while links[current]:
+                        current, i = links[current]
+                        path.append(i)
+                    return MembershipResult(True, space.to_point(parent), tuple(path), False)
+                if parent not in links:
+                    links[parent] = (current, i)
+                    stack.append((parent, depth + 1))
     return MembershipResult(False, None, (), False)
 
 

@@ -5,7 +5,8 @@ absolute value on the integers, the norm a^2+b^2 on the Gaussian integers,
 and the Weil height via the product formula on projective and affine
 rational points (max coordinate after gcd reduction, which is the product
 formula specialized to the rationals).  Each size function lives in its
-space's ``spaces.SPACES`` entry; ``raw_size`` looks it up.
+space's ``spaces.SPACES`` entry; ``raw_size`` looks it up.  The census of
+P^n(Q) by height counts primitive vectors by a gcd recursion, with no sieve.
 """
 
 from __future__ import annotations
@@ -111,18 +112,21 @@ def schanuel_prediction(n: int, x: float) -> float:
     return 2 ** (n + 1) / (2 * _ZETA[n + 1]) * float(x) ** (n + 1)
 
 
-_CENSUS_LIMIT = 10**4
+_CENSUS_LIMIT = 10**7
 
 
 def projective_census(n: int, bound: float) -> int:
     """Exact count of points of P^n(Q) with height <= bound.
 
     Every such point is a pair +-v of primitive integer vectors in the box
-    [-x, x]^(n+1), so Moebius inversion over the gcd of the coordinates (the
-    sum behind Schanuel's count, Bull. SMF 107 (1979)) gives
-    N = 1/2 sum_{d <= x} mu(d) ((2 floor(x/d) + 1)^(n+1) - 1),
-    with mu from a linear sieve, in O(x) for every n in 1..4 (the range of
-    the zeta table).  Bounds above ``_CENSUS_LIMIT`` raise BoundTooLargeError.
+    [-x, x]^(n+1) (Schanuel, Bull. SMF 107 (1979)).  Every nonzero vector
+    in the box is d times a primitive one, d its gcd, so the number P(m) of
+    primitive vectors in [-m, m]^(n+1) satisfies
+    sum_{d=1..m} P(floor(m/d)) = (2m+1)^(n+1) - 1.  Solving for P(m),
+    grouping the d that share floor(m/d), over the O(sqrt(x)) values
+    floor(x/k) in increasing order, takes O(x^(3/4)) steps and O(sqrt(x))
+    memory for every n in 1..4 (the range of the zeta table).  Bounds above
+    ``_CENSUS_LIMIT`` raise BoundTooLargeError.
     """
     if n + 1 not in _ZETA:
         raise ConfigError(f"census supports n in 1..4, got n={n}")
@@ -131,23 +135,17 @@ def projective_census(n: int, bound: float) -> int:
         raise ConfigError(f"census bound must be nonnegative, got {bound}")
     if x > _CENSUS_LIMIT:
         raise BoundTooLargeError(f"census bound {bound} exceeds the limit {_CENSUS_LIMIT}")
-    terms = (mu * ((2 * (x // d) + 1) ** (n + 1) - 1) for d, mu in enumerate(_mobius(x)) if mu)
-    return sum(terms) // 2
-
-
-def _mobius(limit: int) -> list:
-    """mu(0), ..., mu(limit) by a linear sieve; None marks a number not yet sieved."""
-    mu = ([0, 1] + [None] * (limit - 1))[: limit + 1]
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if mu[i] is None:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > limit:
-                break
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
+    root = math.isqrt(x)
+    # floor(floor(x/a)/b) = floor(x/(ab)), so this set is closed under m -> floor(m/d).
+    values = sorted({x // k for k in range(1, root + 1)} | set(range(1, root + 1)))
+    primitive: dict[int, int] = {}
+    for m in values:
+        total = (2 * m + 1) ** (n + 1) - 1
+        d = 2
+        while d <= m:
+            q = m // d
+            last = m // q  # the largest d' with floor(m/d') = q
+            total -= (last - d + 1) * primitive[q]
+            d = last + 1
+        primitive[m] = total
+    return primitive.get(x, 0) // 2

@@ -312,6 +312,7 @@ class _MapKind:
         return 1
 
     def preimage_fn(self) -> Callable:
+        """A closure from a payload to the tuple of all its parents."""
         raise UnsupportedMapKindError(
             f"preimage not available for map kind {self.kind!r}"
         )
@@ -346,7 +347,7 @@ class IntAffineMap(_MapKind):
 
         def preimage(v):
             q, r = divmod(v - b, a)
-            return None if r else q
+            return () if r else (q,)
 
         return preimage
 
@@ -383,7 +384,7 @@ class GaussAffineMap(_MapKind):
         return image
 
     def preimage_fn(self) -> Callable:
-        """Exact division by a in Z[i], None when it does not divide."""
+        """Exact division by a in Z[i], no parent when it does not divide."""
         (ar, ai), (br, bi) = self.a, self.b
         n = gauss_norm(self.a)
 
@@ -391,8 +392,8 @@ class GaussAffineMap(_MapKind):
             x, y = p[0] - br, p[1] - bi
             re, im = x * ar + y * ai, y * ar - x * ai
             if not n or re % n or im % n:
-                return None
-            return (re // n, im // n)
+                return ()
+            return ((re // n, im // n),)
 
         return preimage
 
@@ -433,7 +434,8 @@ class PolyTupleMap(_MapKind):
 
     def preimage_fn(self) -> Callable:
         """Coordinatewise roots when each component is a single monomial
-        c*x_i^e in its own variable (positive root for even e)."""
+        c*x_i^e in its own variable; every sign of an even root gives a
+        parent, and the all-positive parent comes last."""
         diag = []
         for i, comp in enumerate(self.components):
             exps, coeff = comp.terms[0] if comp.is_monomial() else ((), 0)
@@ -445,14 +447,13 @@ class PolyTupleMap(_MapKind):
 
         def preimage(coords):
             if len(coords) != len(diag):
-                return None
+                return ()
             roots = []
             for (coeff, exponent), value in zip(diag, coords):
-                root = _fraction_root(value / coeff, exponent)
-                if root is None:
-                    return None
-                roots.append(root)
-            return tuple(roots)
+                roots.append(_rational_roots(value / coeff, exponent))
+                if not roots[-1]:
+                    return ()
+            return tuple(itertools.product(*roots))
 
         return preimage
 
@@ -638,19 +639,18 @@ def apply(map_: SimilarityMap, point: SpacePoint) -> SpacePoint:
     return space.to_point(map_.image_fn()(space.payload(point)))
 
 
-def _fraction_root(value: Fraction, degree: int) -> Optional[Fraction]:
-    """Exact degree-th root of a rational, preferring the positive root."""
+def _rational_roots(value: Fraction, degree: int) -> tuple:
+    """Every rational degree-th root of a rational, the positive one last."""
     if degree == 1:
-        return value
-    negative = value < 0
-    if negative and degree % 2 == 0:
-        return None
-    num = _int_root(abs(value.numerator), degree)
-    den = _int_root(value.denominator, degree)
-    if num is None or den is None:
-        return None
-    root = Fraction(num, den)
-    return -root if negative else root
+        return (value,)
+    num, den = abs(value.numerator), value.denominator
+    top, bottom = _floor_root(num, degree), _floor_root(den, degree)
+    if top**degree != num or bottom**degree != den or value < 0 and degree % 2 == 0:
+        return ()
+    root = Fraction(top, bottom)
+    if degree % 2:
+        return (-root,) if value < 0 else (root,)
+    return (-root, root) if root else (root,)
 
 
 def _floor_root(n: int, k: int) -> int:
@@ -669,14 +669,8 @@ def _floor_root(n: int, k: int) -> int:
         x = y
 
 
-def _int_root(n: int, k: int) -> Optional[int]:
-    """Exact k-th root of a nonnegative integer, None if n is not a power."""
-    root = _floor_root(n, k)
-    return root if root**k == n else None
-
-
 def preimage(map_: SimilarityMap, point: SpacePoint) -> Optional[SpacePoint]:
-    """The unique lattice-exact preimage when the map kind supports one.
+    """The lattice-exact preimage when the map kind supports one, else None.
 
     Affine integer and Gaussian maps invert by exact division; diagonal
     monomial tuples invert coordinatewise (positive root for even degrees).
@@ -684,8 +678,8 @@ def preimage(map_: SimilarityMap, point: SpacePoint) -> Optional[SpacePoint]:
     enumeration.
     """
     space = _map_space(map_, point)
-    parent = map_.preimage_fn()(space.payload(point))
-    return None if parent is None else space.to_point(parent)
+    parents = map_.preimage_fn()(space.payload(point))
+    return space.to_point(parents[-1]) if parents else None
 
 
 # ---------------------------------------------------------------------------

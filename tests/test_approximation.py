@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,19 @@ def test_chordal_examples():
         assert chordal_distance((0, 1), (1, 2**k)) == pytest.approx(
             1 / math.sqrt(1 + 4**k), rel=1e-12
         )
+
+
+big = st.integers(-(2**600), 2**600)
+
+
+@given(st.tuples(big, big), st.tuples(big, big))
+def test_chordal_matches_fraction_formula(p, q):
+    # The squared distance as an exact Fraction, rounded once to a float.
+    (a, b), (c, d) = p, q
+    if a == b == 0 or c == d == 0:
+        return
+    exact = Fraction((a * d - b * c) ** 2, (a * a + b * b) * (c * c + d * d))
+    assert chordal_distance(p, q) == math.sqrt(float(exact))
 
 
 @given(nonzero_pairs, nonzero_pairs)

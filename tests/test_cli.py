@@ -20,6 +20,7 @@ Z_BINARY = str(corpus_path("z-binary"))
 DIGITS01 = str(corpus_path("digits01"))
 Q2 = str(corpus_path("q2-powers2"))
 P1 = str(corpus_path("p1-doubling"))
+P1_FULL = str(corpus_path("p1-powers2-full"))
 
 
 def run(argv, capsys):
@@ -152,6 +153,15 @@ def test_census_csv(tmp_path, capsys):
     bound, count, prediction, ratio = rows[1].split(",")
     assert count == "12176"
     assert abs(float(ratio) - 1.0) < 0.05
+
+
+def test_census_at_and_past_the_limit(tmp_path, capsys):
+    code, out, _ = run(["--out-dir", str(tmp_path), "census", "--n", "4", "--bound", "1e7"], capsys)
+    assert code == 0 and out.startswith("census(n=4, x=10000000.0) = ")
+    argv = ["--out-dir", str(tmp_path / "past"), "census", "--n", "4", "--bound", "10000001"]
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert "BoundTooLarge" in err and "exceeds the limit 10000000" in err
 
 
 def test_height_command(tmp_path, capsys):
@@ -372,6 +382,7 @@ def _intersect(curve):
         pytest.param(_intersect("+".join(["x1"] * 1200)), "nested too deeply", id="sum-1200"),
         (_intersect("x1**99999999"), "exponent and degree limit 64"),
         (_intersect("(((2**64)**64)**64)**64"), "coefficient limit of 4096 bits"),
+        (["enumerate", P1_FULL, "--bound", "100", "--max-points", "1"], "max_points"),
     ],
 )
 def test_bad_values_are_one_line_naming_the_input(tmp_path, capsys, argv, says):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -15,6 +16,7 @@ from arithfractal import (
     GaussPoint,
     IntAffineMap,
     IntPoint,
+    PolyTupleMap,
     ProjPoint,
     apply,
     audit_exactness,
@@ -177,6 +179,16 @@ def test_truncation_flag_only_when_points_are_left(z_2x3x, max_points, truncated
     assert (len(bag), bag.truncated) == (min(max_points, 142), truncated)
 
 
+def test_seeds_count_against_max_points():
+    system = FractalSystem(
+        "int", (IntAffineMap(2, 0),), tuple(IntPoint(s) for s in (1, 3, 5, 3)), "seeds"
+    )
+    with pytest.raises(ConfigError, match="max_points 2 is below the 3 distinct seeds"):
+        enumerate_system(system, 100, max_points=2)
+    bag = enumerate_system(system, 100, max_points=3)
+    assert (len(bag), bag.truncated) == (3, True)
+
+
 def test_depths_are_generations(digits01):
     bag = enumerate_system(digits01, 1000)
     by_value = {e.point.value: e.depth for e in bag.entries}
@@ -237,6 +249,66 @@ def test_member_point_of_other_arity(q2_powers2):
     three = AffPoint((Fraction(1), Fraction(1), Fraction(1)))
     assert not is_member(q2_powers2, three).member
     assert not is_member(q2_powers2, AffPoint((Fraction(4), Fraction(16), Fraction(5)))).member
+
+
+def diagonal_map(*terms):
+    """(c_1 x1^e_1, ..., c_n xn^e_n) from (c, e) pairs."""
+    n = len(terms)
+    return PolyTupleMap(tuple(
+        Polynomial(n, [(tuple(e if j == i else 0 for j in range(n)), Fraction(c))])
+        for i, (c, e) in enumerate(terms)
+    ))
+
+
+def test_member_through_negative_parent():
+    # -1 -> 1 under x^2, then 1 -> 3 under 3x^3: the descent from 3 and 1
+    # must reach the negative parent -1 of 1.
+    system = FractalSystem(
+        "affq", (diagonal_map((1, 2)), diagonal_map((3, 3))), (AffPoint((Fraction(-1),)),), "neg"
+    )
+    bag = enumerate_system(system, 100)
+    assert {e.point.coords[0] for e in bag.entries} == {-81, -3, -1, 1, 3, 9, 81}
+    for entry in bag.entries:
+        result = is_member(system, entry.point)
+        assert result.member and replay_certificate(system, result) == entry.point
+    assert is_member(system, AffPoint((Fraction(3),))).path == (0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(lambda n: st.tuples(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(2, 3)),
+                min_size=n, max_size=n,
+            ),
+            min_size=1, max_size=3,
+        ),
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=3),
+    ))
+)
+def test_member_agrees_with_bag_for_random_diagonal_systems(maps_and_seeds):
+    # Integer seeds and coefficients keep every orbit point an integer tuple
+    # whose height never drops under a map, so the bag at a bound holds every
+    # member up to that bound.  Exponents of at least 2 keep the descent
+    # finite: the parents of x under c*x must be divided by c without end.
+    maps, seeds = maps_and_seeds
+    system = FractalSystem(
+        "affq",
+        tuple(diagonal_map(*terms) for terms in maps),
+        tuple(AffPoint(tuple(Fraction(c) for c in seed)) for seed in seeds),
+        "random",
+    )
+    radius = 40 if len(seeds[0]) == 1 else 6
+    bag = enumerate_system(system, radius)
+    members = {e.point for e in bag.entries}
+    box = itertools.product(range(-radius, radius + 1), repeat=len(seeds[0]))
+    for coords in box:
+        point = AffPoint(tuple(Fraction(c) for c in coords))
+        result = is_member(system, point)
+        assert result.member == (point in members)
+        if result.member:
+            assert replay_certificate(system, result) == point
 
 
 def test_member_fallback_for_projective(p1_doubling):

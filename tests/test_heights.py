@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -198,19 +199,52 @@ def test_census_p1_matches_totient_oracle(bound):
     assert projective_census(1, bound) == totient_oracle_p1(bound)
 
 
+@functools.cache
+def mobius_table(limit):
+    """mu(0), ..., mu(limit) by crossing out multiples of each prime."""
+    mu = [0] + [1] * limit
+    prime = [True] * (limit + 1)
+    for p in range(2, limit + 1):
+        if prime[p]:
+            for k in range(p, limit + 1, p):
+                prime[k] = False
+                mu[k] = -mu[k]
+            for k in range(p * p, limit + 1, p * p):
+                mu[k] = 0
+    return mu
+
+
+def mobius_census(n, x):
+    """The O(x) Moebius sum 1/2 sum_{d <= x} mu(d) ((2 floor(x/d) + 1)^(n+1) - 1)."""
+    mu = mobius_table(10**5)
+    return sum(mu[d] * ((2 * (x // d) + 1) ** (n + 1) - 1) for d in range(1, x + 1)) // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_matches_mobius_sum(n):
+    for x in (0, 1, 2, 3, 10, 100, 137, 3000, 10**4, 10**5):
+        assert projective_census(n, x) == mobius_census(n, x)
+
+
+@given(st.integers(1, 4), st.integers(0, 10**5))
+def test_census_matches_mobius_sum_random(n, x):
+    assert projective_census(n, x) == mobius_census(n, x)
+
+
 def test_census_bound_guard():
     with pytest.raises(BoundTooLargeError):
-        projective_census(1, 10**5)
+        projective_census(1, 10**7 + 1)
     with pytest.raises(ConfigError):
         projective_census(5, 10)
 
 
 def test_census_one_limit_for_every_n():
-    # One bound limit, 10^4, for n = 1..4; the Moebius sum is O(x) for each.
-    assert projective_census(2, 10**4) == pytest.approx(schanuel_prediction(2, 10**4), rel=1e-3)
+    # One bound limit, 10^7, for n = 1..4; the recursion is O(x^(3/4)) for each.
     for n in range(1, 5):
+        count = projective_census(n, 10**7)
+        assert count == pytest.approx(schanuel_prediction(n, 10**7), rel=1e-6)
         with pytest.raises(BoundTooLargeError):
-            projective_census(n, 10**4 + 1)
+            projective_census(n, 10**7 + 1)
     for n, bound in [(0, 10), (5, 1), (-1, 3), (1, -5), (4, -1), (2, -0.5)]:
         with pytest.raises(ConfigError):
             projective_census(n, bound)
