@@ -68,6 +68,8 @@ class Target:
             if len(parts) != 2:
                 raise ConfigError(f"projective target must be a:b, got {text!r}")
             a, b = (parse_rational(p) for p in parts)
+            if a == b == 0:
+                raise ConfigError(f"projective target must not be 0:0, got {text!r}")
             lcm = math.lcm(a.denominator, b.denominator)
             point = canonicalize(ProjPoint((int(a * lcm), int(b * lcm))))
             return cls(projective=point.coords)

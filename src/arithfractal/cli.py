@@ -251,12 +251,8 @@ def _parse_lemma_gap(text: str) -> float:
     gap_text = text.replace("sdim", "").replace("±", "+-").strip()
     if not gap_text:
         return 0.05
-    try:
-        return float(gap_text.lstrip("+-"))
-    except ValueError:
-        raise ConfigError(
-            f"--check-lemmas expects sdim±GAP with a numeric GAP: {text!r}"
-        ) from None
+    (gap,) = _numbers(gap_text.lstrip("+-"), f"--check-lemmas {text!r} (sdim±GAP)", 1)
+    return gap
 
 
 def _cmd_growth(args, out_dir: Path) -> list[str]:
@@ -455,11 +451,10 @@ def _cmd_corpus(args, out_dir: Path) -> None:
     print("-" * len(header))
     for entry in CORPUS:
         system = load_corpus_system(entry.name)
-        dim_text = fmt(entry.expected_dimension) if entry.expected_dimension is not None else "-"
-        exact_text = {True: "yes", False: "no", None: "-"}[entry.exact]
         print(
             f"{entry.name:<18} {entry.space:<6} {len(system.maps):<4} "
-            f"{dim_text:<18} {exact_text:<6} {entry.description}"
+            f"{fmt(entry.expected_dimension):<18} {'yes' if entry.exact else 'no':<6} "
+            f"{entry.description}"
         )
 
 

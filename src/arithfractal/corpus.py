@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .spaces import FractalSystem, load_system
@@ -21,9 +21,9 @@ from .spaces import FractalSystem, load_system
 class CorpusEntry(NamedTuple):
     name: str
     space: str
-    expected_dimension: Optional[float]
-    exact: Optional[bool]  # None: orbit not enumerable, audit does not apply
-    audit_bound: Optional[int]
+    expected_dimension: float
+    exact: bool  # whether the forward orbit passes the exactness audit
+    audit_bound: int
     description: str
 
 
@@ -49,7 +49,7 @@ CORPUS: tuple[CorpusEntry, ...] = (
                 "two-sided powers of two on the projective line"),
     CorpusEntry("q2-powers2", "affq", 2.0, True, 2**12,
                 "power-of-two grid {(2^i, 2^j)} in the affine rational plane"),
-    CorpusEntry("ec-37a", "ec", 0.0, None, None,
+    CorpusEntry("ec-37a", "ec", 0.0, True, 10**100,
                 "doubling map on the rank-1 curve y^2 + y = x^3 - x"),
 )
 

@@ -44,6 +44,12 @@ class ECPoint(NamedTuple):
     def is_infinity(self) -> bool:
         return self.x is None
 
+    def __lt__(self, other):
+        """O first, then affine points by (x, y); sorts and heaps need only <."""
+        if self.x is None or other.x is None:
+            return self.x is None and other.x is not None
+        return tuple.__lt__(self, other)
+
     def __str__(self):
         if self.is_infinity:
             return "inf"
@@ -342,19 +348,12 @@ def neron_count(
 
     gen_height = _height(curve, generator, tol).value
     grid = sorted(float(x) for x in x_grid)
-    if not grid:
-        raise ConfigError("neron_count needs a non-empty grid")
-    n_max = int(math.isqrt(int(grid[-1] / gen_height))) + 1
-
-    counts = []
-    for x in grid:
-        reach = math.sqrt(x / gen_height)
-        n_reach = int(reach)
-        while (n_reach + 1) ** 2 * gen_height <= x:
-            n_reach += 1
-        while n_reach > 0 and n_reach**2 * gen_height > x:
-            n_reach -= 1
-        counts.append((2 * n_reach + 1) * len(torsion))
+    if not grid or grid[0] < 0:
+        raise ConfigError(f"neron_count needs a non-empty grid of values >= 0, got {grid}")
+    # The largest n >= 0 with n^2 h(P) <= x, in exact arithmetic, per grid value.
+    reach = [math.isqrt(math.floor(Fraction(x) / Fraction(gen_height))) for x in grid]
+    n_max = reach[-1] + 1
+    counts = [(2 * n + 1) * len(torsion) for n in reach]
 
     rng = random.Random(rng_seed)
     max_delta, max_bound = 0.0, 0.0

@@ -141,10 +141,6 @@ def _compile(system: FractalSystem, bound_int: int) -> tuple[Space, list, list]:
     image closure per map, in map order."""
     require_valid(system)
     space = SPACES[system.space]
-    if not space.enumerable:
-        raise UnsupportedSpaceError(
-            f"enumeration is not supported on space {space.name!r}"
-        )
     seeds = [space.payload(s) for s in system.seeds]
     for payload in seeds:
         if space.size(payload) > bound_int:
@@ -306,15 +302,16 @@ def is_member(
 def _descend(system: FractalSystem, space: Space, payload, depth_limit: int) -> MembershipResult:
     """Walks preimage payloads back from the query; only the certificate
     seed is wrapped as a point."""
-    seeds = {space.payload(s) for s in system.seeds}
-    if payload in seeds:
-        return MembershipResult(True, space.to_point(payload), (), False)
-    preimages = [m.preimage_fn() for m in system.maps]
-    # Depth-first search through preimages.  ``links`` sends each visited
-    # point to (child, map index), its step towards the query; as the visited
-    # set it makes the walk finite: outside the basin radius preimages
+    # Depth-first search through preimages.  ``links`` sends each seed to True
+    # and each visited point to (child, map index), its step towards the query,
+    # so one lookup tells a seed, a revisit and a new parent apart.  As the
+    # visited set it makes the walk finite: outside the basin radius preimages
     # strictly shrink, inside it only finitely many points exist.
-    links = {payload: None}
+    links = dict.fromkeys((space.payload(s) for s in system.seeds), True)
+    if payload in links:
+        return MembershipResult(True, space.to_point(payload), (), False)
+    links[payload] = None
+    preimages = [m.preimage_fn() for m in system.maps]
     stack = [(payload, 0)]
     while stack:
         current, depth = stack.pop()
@@ -324,16 +321,17 @@ def _descend(system: FractalSystem, space: Space, payload, depth_limit: int) -> 
             )
         for i, preimage in enumerate(preimages):
             for parent in preimage(current):
-                if parent in seeds:
+                step = (current, i)
+                link = links.setdefault(parent, step)
+                if link is step:
+                    stack.append((parent, depth + 1))
+                elif link is True:
                     # Forward replay: map i from the seed, then the links.
                     path = [i]
                     while links[current]:
                         current, i = links[current]
                         path.append(i)
                     return MembershipResult(True, space.to_point(parent), tuple(path), False)
-                if parent not in links:
-                    links[parent] = (current, i)
-                    stack.append((parent, depth + 1))
     return MembershipResult(False, None, (), False)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import statistics
 from typing import NamedTuple, Optional, Sequence
 
 from .enumeration import PointBag
@@ -95,6 +96,8 @@ def fit_growth_exponent(
             f"growth fit needs at least 3 usable grid points, got {len(usable)}"
         )
     xs = [math.log(x) for x, _ in usable]
+    if len(set(xs)) < 2:
+        raise InsufficientDataError("growth fit needs at least 2 distinct grid values")
     ys = [math.log(n) for _, n in usable]
     n = len(xs)
     mean_x = sum(xs) / n
@@ -141,22 +144,23 @@ def lemma_bound_check(
     """
     if direction not in ("upper", "lower"):
         raise InsufficientDataError(f"direction must be upper or lower: {direction!r}")
-    if s <= 0:
-        raise InsufficientDataError("probe exponent must be positive")
+    if not 0 < s < math.inf:
+        raise InsufficientDataError(f"probe exponent must be positive and finite, got {s}")
     pairs = [(x, n) for x, n in zip(table.grid, table.counts) if x > 0 and n > 0]
     if len(pairs) < 4:
         raise InsufficientDataError("bound check needs at least 4 populated grid points")
-    h_seq = tuple(n * x**-s for x, n in pairs)
+    try:
+        h_seq = tuple(n * x**-s for x, n in pairs)
+    except OverflowError:
+        h_seq = (math.inf,)
+    if not all(0 < h < math.inf for h in h_seq):
+        raise InsufficientDataError(f"x^-s N(x) leaves the float range at s = {s}")
     half = len(h_seq) // 2
     first, tail = h_seq[:half], h_seq[half:]
-    first_sorted = sorted(first)
-    mid = len(first_sorted) // 2
-    if len(first_sorted) % 2:
-        median = first_sorted[mid]
-    else:
-        median = 0.5 * (first_sorted[mid - 1] + first_sorted[mid])
-
+    median = statistics.median(first)
     log_x = [math.log(x) for x, _ in pairs]
+    if log_x[-1] == log_x[half]:
+        raise InsufficientDataError("bound check needs a tail of more than one grid value")
     tail_slope = (math.log(h_seq[-1]) - math.log(h_seq[half])) / (
         log_x[-1] - log_x[half]
     )

@@ -138,8 +138,9 @@ def affine_height_raw(coords: Sequence[Fraction]) -> int:
 
 
 def _ec_size(point: ECPoint) -> int:
+    """max(|num x|, den x); the identity O counts as 0, the one point of size 0."""
     if point.is_infinity:
-        return 1
+        return 0
     return max(abs(point.x.numerator), abs(point.x.denominator))
 
 
@@ -236,7 +237,6 @@ class Space(NamedTuple):
     to_json: Callable  # payload -> JSON value
     parse: Callable  # stripped command-line literal -> payload
     tuples: bool = False  # payloads are coordinate tuples of the maps' arity
-    enumerable: bool = True
     window: Optional[Callable] = None  # (bound, seed payloads) -> lazy ambient audit window
 
 
@@ -258,8 +258,7 @@ SPACES = {
               lambda t: _ints(t.strip("()").split(":")), tuples=True, window=_proj_window),
         Space("ec", ECPoint, _identity, _identity, _identity, _ec_size, "height",
               _ec_from_json, _ec_to_json,
-              lambda t: _ec_from_json(t if t == "inf" else t.strip("()").split(",")),
-              enumerable=False),
+              lambda t: _ec_from_json(t if t == "inf" else t.strip("()").split(","))),
     )
 }
 

@@ -218,6 +218,44 @@ def test_ec_neron_command(tmp_path, capsys):
     assert "fitted exponent: 0.4" in out or "fitted exponent: 0.5" in out
 
 
+@pytest.mark.parametrize("grid", ["1e60,1e61,1e62", "1e306,1e307,1e308"])
+def test_ec_neron_on_huge_grid_values(tmp_path, capsys, grid):
+    argv = ["--out-dir", str(tmp_path), "--tol", "1e-3", "ec", "neron",
+            "--curve", "0,0,1,-1,0", "--gen", "0,0", "--grid", grid]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and "fitted exponent: 0.5" in out
+    assert len((tmp_path / "neron.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--check-lemmas", "sdim±400"],
+        ["--check-lemmas", "sdim±3000"],
+        ["--grid", "5,5,5,5", "--check-lemmas", "sdim±0.05"],
+        ["--grid", "5,5,5,5", "--fit"],
+    ],
+)
+def test_growth_checks_without_data_are_analysis_errors(tmp_path, capsys, flags):
+    argv = ["growth", DIGITS01, "--bound", "1e9"] + flags
+    code, out, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("error[InsufficientDataError.InsufficientData]: ")
+
+
+def test_ec_37a_member_and_audit(tmp_path, capsys):
+    ec = str(corpus_path("ec-37a"))
+    for point, answer in (("1,0", "member (decided by enumeration fallback)"),
+                          ("-1,-1", "not a member"), ("6,14", "not a member")):
+        code, out, _ = run(["--out-dir", str(tmp_path), "member", ec, "--", point], capsys)
+        assert code == 0 and out == f"{point}: {answer}\n"
+    code, out, _ = run(["--out-dir", str(tmp_path), "audit", ec, "--bound", "1e100"], capsys)
+    assert code == 0 and ": 7 points, 0 overlaps, 0 uncovered -> exact" in out
+    argv = ["audit", ec, "--bound", "1e100", "--window", "ambient"]
+    code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 3 and "UnsupportedSpace" in err
+
+
 def test_corpus_listing(capsys):
     code = main(["corpus"])
     out = capsys.readouterr().out
@@ -349,6 +387,10 @@ _ZERO_SEED = {
         (["intersect", Q2, "--curve", "x1**99999999", "--bounds", "16"], None),
         (["intersect", Q2, "--curve", "(x1+x2)**3000", "--bounds", "16"], None),
         (["intersect", Q2, "--curve", "2**99999999", "--bounds", "16"], None),
+        (["approx", P1, "--target", "0:0", "--delta", "0.9", "--bound", "100"], None),
+        (["growth", DIGITS01, "--bound", "1e3", "--check-lemmas", "sdim±nan"], None),
+        (["growth", DIGITS01, "--bound", "1e3", "--check-lemmas", "sdim±inf"], None),
+        (["ec", "neron", "--curve", "0,0,1,-1,0", "--gen", "0,0", "--grid=-1,1"], None),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
@@ -383,6 +425,8 @@ def _intersect(curve):
         (_intersect("x1**99999999"), "exponent and degree limit 64"),
         (_intersect("(((2**64)**64)**64)**64"), "coefficient limit of 4096 bits"),
         (["enumerate", P1_FULL, "--bound", "100", "--max-points", "1"], "max_points"),
+        (["approx", P1, "--target", "0/1:0", "--delta", "0.9", "--bound", "9"], "'0/1:0'"),
+        (["growth", DIGITS01, "--bound", "1e3", "--check-lemmas", "sdim±nan"], "'sdim±nan'"),
     ],
 )
 def test_bad_values_are_one_line_naming_the_input(tmp_path, capsys, argv, says):

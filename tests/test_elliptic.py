@@ -19,6 +19,7 @@ from arithfractal import (
 )
 from arithfractal.elliptic import _integral_scale
 from arithfractal.errors import (
+    ConfigError,
     GeneratorIsTorsionError,
     PointNotOnCurveError,
     PrecisionNotReachedError,
@@ -287,3 +288,21 @@ def test_neron_rejects_torsion_generator():
     curve = Curve.from_coefficients([0, 0, 0, 1, 0])
     with pytest.raises(GeneratorIsTorsionError):
         neron_count(curve, ec_point(0, 0), [], [1.0, 2.0, 4.0])
+
+
+def test_neron_reach_is_exact(curve_37a, gen):
+    # count = (2n + 1) |T| with n the largest integer with n^2 h(P) <= x,
+    # checked in exact rationals, near every square multiple of h(P) and at
+    # grid values where a float step of one n per loop would not end.
+    h = canonical_height(curve_37a, gen, 1e-3).value
+    grid = [0.0, h, 4 * h, 9 * h * (1 - 1e-15), 1e60, 1e62, 1e306, 1e308]
+    result = neron_count(curve_37a, gen, [], grid, tol=1e-3)
+    step = Fraction(result.generator_height)
+    for x, count in zip(result.table.grid, result.table.counts):
+        n = (count - 1) // 2
+        assert n * n * step <= Fraction(x) < (n + 1) ** 2 * step, x
+
+
+def test_neron_rejects_a_negative_grid_value(curve_37a, gen):
+    with pytest.raises(ConfigError, match=">= 0"):
+        neron_count(curve_37a, gen, [], [-1.0, 1.0, 2.0])

@@ -14,6 +14,7 @@ from arithfractal import (
     FractalSystem,
     GaussAffineMap,
     GaussPoint,
+    INFINITY,
     IntAffineMap,
     IntPoint,
     PolyTupleMap,
@@ -21,6 +22,8 @@ from arithfractal import (
     apply,
     audit_exactness,
     curve_intersection_probe,
+    ec_mul,
+    ec_point,
     enumerate_system,
     is_member,
     load_corpus_system,
@@ -203,10 +206,48 @@ def test_bound_below_seed_rejected(z_2x3x):
         enumerate_system(z_2x3x, 0)
 
 
-def test_ec_enumeration_unsupported():
+def _ec_doubling(a4, seeds):
+    """{Q -> [2]Q} on y^2 = x^3 + a4 x, seeded at the given integer points."""
+    return system_from_dict({
+        "space": "ec",
+        "label": "ec-doubling",
+        "curve": {"a1": "0", "a2": "0", "a3": "0", "a4": str(a4), "a6": "0"},
+        "maps": [{"kind": "ell_translate", "n": "2", "translate": "inf"}],
+        "seeds": [[str(x), str(y)] for x, y in seeds],
+    })
+
+
+def test_ec_37a_orbit_and_membership():
     system = load_corpus_system("ec-37a")
+    curve, p = system.curve, system.seeds[0]
+    bag = enumerate_system(system, 10**30)
+    assert bag.points() == [ec_mul(curve, 2**k, p) for k in range(6)]
+    assert not bag.truncated
+    # The fallback enumerates up to the query's size, so 64P (about 10^91)
+    # is found although it lies past the bag above.
+    for n, member in ((1, True), (2, True), (3, False), (6, False), (64, True)):
+        assert is_member(system, ec_mul(curve, n, p)).member is member, n
+    assert is_member(system, ec_mul(curve, 2, p)).via_fallback
     with pytest.raises(UnsupportedSpaceError):
-        enumerate_system(system, 100)
+        audit_exactness(system, 100, window="ambient")
+
+
+def test_ec_torsion_orbit_lists_the_identity_first():
+    # (1, 0) has order 2 on y^2 = x^3 - x, so its orbit is {(1, 0), O}.
+    # O has size 0, so the bag's sort never compares it with a Fraction.
+    system = _ec_doubling(-1, [(1, 0)])
+    bag = enumerate_system(system, 10)
+    assert [(e.point, e.size.raw) for e in bag.entries] == [(INFINITY, 0), (ec_point(1, 0), 1)]
+    assert is_member(system, INFINITY).member
+
+
+def test_ec_audit_lists_the_identity_first():
+    # (2, 4) and (2, -4) have order 4 on y^2 = x^3 + 4x: both double to
+    # (0, 0), which doubles to O, and O doubles to itself, so both are overlaps.
+    system = _ec_doubling(4, [(2, 4), (2, -4)])
+    report = audit_exactness(system, 10)
+    assert [r.point for r in report.overlaps] == [INFINITY, ec_point(0, 0)]
+    assert fused_orbit_audit(system, 10) == brute_orbit_audit(system, 10)
 
 
 # --- membership -------------------------------------------------------------
@@ -401,9 +442,7 @@ def fused_orbit_audit(system, bound):
     }
 
 
-@pytest.mark.parametrize(
-    "entry", [e for e in CORPUS if e.exact is not None], ids=lambda e: e.name
-)
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_orbit_audit_matches_brute_force(entry):
     system = load_corpus_system(entry.name)
     bound = min(entry.audit_bound, 2**10)

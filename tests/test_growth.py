@@ -156,3 +156,35 @@ def test_lemma_check_reports_sequence(digits_table):
     assert len(verdict.h_sequence) == 9
     expected_first = 3 * 10**-0.25
     assert verdict.h_sequence[0] == pytest.approx(expected_first, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_lemma_check_rejects_an_exponent_that_is_not_positive_and_finite(digits_table, s):
+    for direction in ("upper", "lower"):
+        with pytest.raises(InsufficientDataError, match="positive and finite"):
+            lemma_bound_check(digits_table, s, direction)
+
+
+@pytest.mark.parametrize(
+    "grid, s",
+    [
+        ((10.0, 100.0, 10.0**3, 10.0**9), 400.0),  # x^-s N(x) underflows to 0
+        ((10.0**-3, 10.0**-2, 0.1, 1.0), 200.0),  # x^-s overflows a float
+    ],
+)
+def test_lemma_check_rejects_h_outside_the_float_range(grid, s):
+    table = CountTable(grid, (1, 2, 3, 4), "abs")
+    for direction in ("upper", "lower"):
+        with pytest.raises(InsufficientDataError, match="float range"):
+            lemma_bound_check(table, s, direction)
+
+
+def test_repeated_grid_values_are_insufficient_data():
+    # Equal log x in the tail (or everywhere) leaves no slope to divide by.
+    tail = CountTable((2.0, 3.0, 5.0, 5.0, 5.0, 5.0), (1, 2, 3, 3, 3, 3), "abs")
+    with pytest.raises(InsufficientDataError, match="more than one grid value"):
+        lemma_bound_check(tail, 0.5, "upper")
+    flat = CountTable((5.0, 5.0, 5.0, 5.0), (3, 3, 3, 3), "abs")
+    with pytest.raises(InsufficientDataError, match="2 distinct grid values"):
+        fit_growth_exponent(flat)
+    assert fit_growth_exponent(tail).points_used == 5  # N = 1 at x = 2 is dropped
