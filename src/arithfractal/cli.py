@@ -38,7 +38,7 @@ from .enumeration import (
     is_member,
     replay_certificate,
 )
-from .errors import ArithFractalError, ConfigError
+from .errors import ArithFractalError, ConfigError, PointNotOnCurveError
 from .growth import counting_function, fit_growth_exponent, geometric_grid, lemma_bound_check
 from .heights import projective_census, schanuel_prediction, size_of
 from .polynomials import parse_polynomial, parse_rational
@@ -111,7 +111,10 @@ def _parse_curve(text: str) -> Curve:
     parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
     if len(parts) != 5:
         raise ConfigError(f"curve must be a1,a2,a3,a4,a6: {text!r}")
-    return Curve.from_coefficients([parse_rational(p) for p in parts])
+    try:
+        return Curve.from_coefficients([parse_rational(p) for p in parts])
+    except PointNotOnCurveError as exc:
+        raise ConfigError(f"curve {text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +188,7 @@ def _cmd_member(args, out_dir: Path) -> list[str]:
 
 def _cmd_audit(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
-    report = audit_exactness(system, args.bound, args.window)
+    report = audit_exactness(system, args.bound, args.window, max_listed=50)
     payload = {
         "label": system.label,
         "bound": report.bound,
@@ -200,9 +203,9 @@ def _cmd_audit(args, out_dir: Path) -> list[str]:
                 "point": str(rec.point),
                 "witnesses": [[i, str(q)] for i, q in rec.witnesses],
             }
-            for rec in report.overlaps[:50]
+            for rec in report.overlaps
         ],
-        "uncovered_sample": [str(p) for p in report.uncovered[:50]],
+        "uncovered_sample": [str(p) for p in report.uncovered],
         "seed_coverage": [
             {"seed": str(s.seed), "is_image": s.is_image} for s in report.seed_coverage
         ],

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import NonExpandingWeightError
+from .errors import BoundTooLargeError, NonExpandingWeightError
 from .spaces import FractalSystem, SimilarityMap
 
 DEFAULT_TOL = 1e-12
@@ -52,11 +52,15 @@ def map_weight(map_: SimilarityMap, convention: str = "norm") -> float:
 def dimension_equation(
     system: FractalSystem, convention: str = "norm"
 ) -> WeightSpec:
-    """Expansion weights of a system's maps, in map order."""
-    weights = tuple(map_weight(m, convention) for m in system.maps)
-    spec = WeightSpec(weights, convention)
-    spec.validate()
-    return spec
+    """Expansion weights of a system's maps, in map order, checked to exceed 1
+    by ``solve_dimension``; one past the float range raises BoundTooLarge."""
+    weights = []
+    for i, map_ in enumerate(system.maps):
+        try:
+            weights.append(map_weight(map_, convention))
+        except OverflowError:
+            raise BoundTooLargeError(f"the weight of map {i} exceeds the float range") from None
+    return WeightSpec(tuple(weights), convention)
 
 
 def t_module_weights(degrees: Sequence[int], rank: int) -> WeightSpec:

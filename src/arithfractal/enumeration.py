@@ -5,10 +5,11 @@ The enumerator is a breadth-first closure of the seeds under the system's
 maps, pruning every image whose size exceeds the bound.  Internally it
 works on light payloads (ints, integer tuples, Fraction tuples) rather
 than wrapper objects, so bags of a few million points stay affordable;
-the rich point objects are materialized lazily.  Termination is
-guaranteed for expanding systems: a bounded point's ancestors are
-themselves bounded, and the visited set makes revisits impossible, so the
-reachable bounded region is finite.
+the rich point objects are materialized lazily.  The closure always
+terminates, whatever the maps: every space holds finitely many points of
+size at most the bound (Northcott), the enumerator keeps only those, and
+the visited set makes revisits impossible, so it expands each such point
+at most once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import (
     BoundTooLargeError,
     ConfigError,
-    NonTerminatingError,
     UndecidedError,
     UnsupportedMapKindError,
     UnsupportedSpaceError,
@@ -44,7 +44,6 @@ from .spaces import (
 )
 
 DEFAULT_MAX_POINTS = 10_000_000
-DEPTH_GUARD = 10_000
 
 
 class BagEntry(NamedTuple):
@@ -182,10 +181,6 @@ def _raw_orbit(
     try:
         while frontier and not truncated:
             depth += 1
-            if depth > DEPTH_GUARD:
-                raise NonTerminatingError(
-                    f"enumeration exceeded {DEPTH_GUARD} generations; system may not expand"
-                )
             # Intra-generation order only matters when a truncation cut could
             # land in this generation; the final sort fixes the order otherwise.
             if len(records) + map_count * len(frontier) >= max_points:
@@ -305,8 +300,10 @@ def _descend(system: FractalSystem, space: Space, payload, depth_limit: int) -> 
     # Depth-first search through preimages.  ``links`` sends each seed to True
     # and each visited point to (child, map index), its step towards the query,
     # so one lookup tells a seed, a revisit and a new parent apart.  As the
-    # visited set it makes the walk finite: outside the basin radius preimages
-    # strictly shrink, inside it only finitely many points exist.
+    # visited set it ends the walk on Z and Z[i], where outside the basin
+    # radius preimages strictly shrink and inside it only finitely many points
+    # exist.  On affq a parent can be larger than its child (x/3 under
+    # x -> 3x), so there the depth limit may be what ends the walk.
     links = dict.fromkeys((space.payload(s) for s in system.seeds), True)
     if payload in links:
         return MembershipResult(True, space.to_point(payload), (), False)

@@ -39,10 +39,6 @@ class BoundTooLargeError(ArithFractalError):
     code = "BoundTooLarge"
 
 
-class NonTerminatingError(ArithFractalError):
-    code = "NonTerminating"
-
-
 class UndecidedError(ArithFractalError):
     code = "Undecided"
 

@@ -26,10 +26,10 @@ Each map kind is likewise written once, as one class: ``image_fn`` and
 ``preimage_fn`` compile a map into closures on payloads, which ``apply``,
 ``preimage``, the breadth-first enumerator and membership descent all
 share; ``weight``, ``problems`` and ``json_fields`` give its Moran weight,
-its validation and its JSON record; ``source_bound`` caps the size of a
-point that the map can send into an ambient window.  On P^1 validation is
-exact, Res(F, G) != 0 read off the Sylvester solve behind the source bound;
-on P^n with n >= 2 it scans a small grid for common zeros.
+the faults of its record and its JSON record; ``source_bound`` caps the size
+of a point that the map can send into an ambient window.  A map expands when
+its weight exceeds 1, one rule for every kind.  On P^1 ``problems`` is exact,
+Res(F, G) != 0 read off the Sylvester solve; on P^n, n >= 2, it scans a grid.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .elliptic import Curve, ECPoint, INFINITY, ec_add, ec_mul
 from .errors import (
     ConfigError,
     NonExpandingWeightError,
+    PointNotOnCurveError,
     SpaceMismatchError,
     UnsupportedMapKindError,
     UnsupportedSpaceError,
@@ -310,6 +311,10 @@ class _MapKind:
     def degree(self) -> int:
         return 1
 
+    def problems(self, curve) -> tuple:
+        """(code, message) for each fault of the record; none by default."""
+        return ()
+
     def preimage_fn(self) -> Callable:
         """A closure from a payload to the tuple of all its parents."""
         raise UnsupportedMapKindError(
@@ -328,7 +333,7 @@ class _MapKind:
 
 @dataclass(frozen=True)
 class IntAffineMap(_MapKind):
-    """x -> a*x + b on the integers; expanding when |a| > 1."""
+    """x -> a*x + b on the integers."""
 
     a: int
     b: int
@@ -356,10 +361,6 @@ class IntAffineMap(_MapKind):
 
     def weight(self, convention: str) -> float:
         return float(abs(self.a))
-
-    def problems(self, curve):
-        if abs(self.a) <= 1:
-            yield "NonExpanding", f"|a|={abs(self.a)} must exceed 1"
 
 
 @dataclass(frozen=True)
@@ -405,10 +406,6 @@ class GaussAffineMap(_MapKind):
     def weight(self, convention: str) -> float:
         norm = gauss_norm(self.a)
         return float(norm) if convention == "norm" else math.sqrt(norm)
-
-    def problems(self, curve):
-        if gauss_norm(self.a) <= 1:
-            yield "NonExpanding", f"Norm(a)={gauss_norm(self.a)} must exceed 1"
 
 
 @dataclass(frozen=True)
@@ -551,24 +548,16 @@ class ProjHomogMap(_MapKind):
 
     def problems(self, curve):
         forms = self.forms
+        degrees = {f.total_degree() for f in forms}
         if not forms or any(f.nvars != len(forms) for f in forms):
             yield "BadArity", "need n+1 forms in n+1 variables"
-            return
-        if any(not f.is_homogeneous() or not f for f in forms):
+        elif any(not f.is_homogeneous() or not f for f in forms):
             yield "NotHomogeneous", "all forms must be homogeneous"
-            return
-        degrees = {f.total_degree() for f in forms}
-        if len(degrees) != 1:
+        elif len(degrees) != 1:
             yield "MixedDegrees", f"form degrees differ: {degrees}"
-            return
-        if self.degree() < 2:
-            # Projective similarity maps must have degree > 1, unlike the
-            # affine case where degree 1 is allowed.
-            yield "DegreeTooLow", "projective maps need degree >= 2"
-        if any(not f.has_integer_coefficients() for f in forms):
+        elif any(not f.has_integer_coefficients() for f in forms):
             yield "NonIntegerForm", "forms need integer coefficients"
-            return
-        if len(forms) == 2:
+        elif len(forms) == 2:
             if _sylvester_solutions(forms, self.degree()) is None:
                 yield "CommonFactor", "Res(F, G) = 0: the forms share a factor"
         elif (zero := _common_zero_on_grid(forms)) is not None:
@@ -598,8 +587,6 @@ class EllTranslateMap(_MapKind):
         return float(self.multiplier)
 
     def problems(self, curve):
-        if self.multiplier < 2:
-            yield "NonExpanding", "multiplier must be at least 2"
         if curve is not None and not curve.contains(self.translation):
             yield "TranslationNotOnCurve", "translation not on curve"
 
@@ -742,9 +729,17 @@ def validate_system(system: FractalSystem) -> list[Violation]:
             message = f"map {i} lives on {map_.space!r}, system on {system.space!r}"
             violations.append(Violation("SpaceMismatch", "map", i, message))
             continue
-        violations.extend(
-            Violation(code, "map", i, message) for code, message in map_.problems(system.curve)
-        )
+        faults = list(map_.problems(system.curve))
+        if not faults:
+            try:
+                weight = map_.weight("norm")  # the one expansion rule: dim's weight > 1
+                if not weight > 1:
+                    faults.append(("NonExpanding", f"Moran weight {weight:g} must exceed 1"))
+            except NonExpandingWeightError as exc:
+                faults.append(("NonExpanding", str(exc)))
+            except OverflowError:
+                pass  # a weight past the float range expands
+        violations.extend(Violation(code, "map", i, message) for code, message in faults)
 
     for j, seed in enumerate(system.seeds):
         seed_space = point_space(seed)
@@ -807,7 +802,8 @@ def system_from_dict(data: dict) -> FractalSystem:
             label=data.get("label", ""),
             curve=curve,
         )
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError,
+            PointNotOnCurveError) as exc:  # the last from a singular curve
         raise ConfigError(f"malformed system document: {exc!r}") from None
 
 
@@ -853,4 +849,7 @@ def parse_point(text: str, space: str, curve: Optional[Curve] = None) -> SpacePo
         payload = entry.canonical(entry.parse(text.strip()))
     except (ConfigError, ZeroProjectivePointError) as exc:
         raise ConfigError(f"cannot read {text!r} as a point of {space!r}: {exc}") from None
-    return entry.to_point(payload)
+    point = entry.to_point(payload)
+    if space == "ec" and curve is not None and not curve.contains(point):
+        raise ConfigError(f"{text!r} is not a point of {curve}")
+    return point

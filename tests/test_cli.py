@@ -334,6 +334,27 @@ _EMPTY_FORMS = {
     "maps": [{"kind": "proj_homog", "forms": []}],
     "seeds": [["1", "2"]],
 }
+EC37A = str(corpus_path("ec-37a"))
+_SINGULAR_CURVE = {
+    **json.loads(corpus_path("ec-37a").read_text()),
+    "curve": {"a1": "0", "a2": "0", "a3": "0", "a4": "0", "a6": "0"},
+}
+
+
+def _affq_doc(*components):
+    """A one-map affq document; each component is a list of (coeff, exponents)."""
+    records = [[{"coeff": c, "exponents": list(e)} for c, e in comp] for comp in components]
+    seed = ["1"] * len(components)
+    maps = [{"kind": "poly_tuple", "components": records}]
+    return {"space": "affq", "label": "bad", "maps": maps, "seeds": [seed]}
+
+
+_SHIFT = _affq_doc([("1", (1,)), ("1", (0,))])  # x -> x + 1
+_LINEAR_P1 = {  # the (2x : y) map on P^1, of degree and weight 1
+    "space": "projq", "label": "bad", "seeds": [["1", "1"]],
+    "maps": [{"kind": "proj_homog", "forms": [[{"coeff": "2", "exponents": [1, 0]}],
+                                              [{"coeff": "1", "exponents": [0, 1]}]]}],
+}
 _NO_SUBCOMMAND = {"artifact": "arithfractal", "parameters": {}, "outputs": []}
 _ZERO_SEED = {
     **json.loads(corpus_path("p1-doubling").read_text()),
@@ -391,6 +412,19 @@ _ZERO_SEED = {
         (["growth", DIGITS01, "--bound", "1e3", "--check-lemmas", "sdim±nan"], None),
         (["growth", DIGITS01, "--bound", "1e3", "--check-lemmas", "sdim±inf"], None),
         (["ec", "neron", "--curve", "0,0,1,-1,0", "--gen", "0,0", "--grid=-1,1"], None),
+        (["member", EC37A, "1,1"], None),  # off the curve
+        (["ec", "height", "--curve", "0,0,1,-1,0", "--point", "1,1"], None),
+        (["ec", "neron", "--curve", "0,0,1,-1,0", "--gen", "1,1", "--grid", "1"], None),
+        (["ec", "neron", "--curve", "0,0,1,-1,0", "--gen", "0,0", "--grid", "1",
+          "--torsion", "1,1"], None),
+        (["dim", "{doc}"], _SINGULAR_CURVE),
+        (["ec", "height", "--curve", "0,0,0,0,0", "--point", "0,0"], None),
+        (["enumerate", "{doc}", "--bound", "5000"], _SHIFT),
+        (["enumerate", "{doc}", "--bound", "20000"], _SHIFT),
+        (["dim", "{doc}"], _SHIFT),
+        (["dim", "{doc}"], _affq_doc([("1/2", (1,))])),  # x -> x/2
+        (["dim", "{doc}"], _affq_doc([("2", (1, 0))], [("3", (0, 1))])),  # (2x1, 3x2)
+        (["dim", "{doc}"], _LINEAR_P1),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
@@ -401,6 +435,29 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv, doc):
     code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
     assert code == 2
     assert "error[ConfigParse]" in err
+
+
+def test_torsion_on_the_curve_but_not_torsion_is_analysis_error(tmp_path, capsys):
+    argv = ["ec", "neron", "--curve", "0,0,1,-1,0", "--gen", "0,0", "--grid", "1",
+            "--torsion", "1,0"]
+    code, out, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error[PointNotOnCurveError.PointNotOnCurve]: (1,0) supplied as torsion")
+
+
+@pytest.mark.parametrize(
+    "argv", [["dim", "{doc}"], ["growth", "{doc}", "--bound", "1000", "--check-lemmas", "sdim"]]
+)
+def test_weight_past_the_float_range_is_one_line(tmp_path, capsys, argv):
+    # 10^400 * x expands, so the system validates, but its weight has no float.
+    doc = _int_doc("1" + "0" * 400, "0")
+    doc["maps"].append({"kind": "int_affine", "a": "3", "b": "1"})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if a == "{doc}" else a for a in argv]
+    code, out, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err == "error[BoundTooLargeError.BoundTooLarge]: the weight of map 0 exceeds the float range\n"
 
 
 def _intersect(curve):

@@ -201,6 +201,14 @@ def test_depths_are_generations(digits01):
     assert by_value[101] == 3
 
 
+def test_orbit_deeper_than_any_generation_cap():
+    # No generation count caps the closure: the bounded window is finite.
+    system = FractalSystem("int", (IntAffineMap(2, 0),), (IntPoint(1),), "doubling")
+    bag = enumerate_system(system, 2**20000)
+    assert (len(bag), bag.truncated) == (20001, False)
+    assert max(e.depth for e in bag.entries) == 20000
+
+
 def test_bound_below_seed_rejected(z_2x3x):
     with pytest.raises(ConfigError):
         enumerate_system(z_2x3x, 0)

@@ -31,7 +31,7 @@ from arithfractal.errors import (
     UnsupportedMapKindError,
     ZeroProjectivePointError,
 )
-from arithfractal.spaces import EllTranslateMap, PolyTupleMap, parse_point
+from arithfractal.spaces import EllTranslateMap, PolyTupleMap, ProjHomogMap, parse_point
 from arithfractal.polynomials import Polynomial
 
 
@@ -191,7 +191,8 @@ def test_validate_gauss_expanding():
 
 
 def test_validate_projective_degree_rule():
-    # Degree-1 projective tuples are rejected, the affine space allows them.
+    # Degree-1 projective tuples have Moran weight 1 and are rejected; the
+    # affine space allows degree 1 with a multiplier of weight above 1.
     linear_forms = (
         Polynomial(2, [((1, 0), Fraction(2))]),
         Polynomial(2, [((0, 1), Fraction(1))]),
@@ -201,7 +202,7 @@ def test_validate_projective_degree_rule():
     bad = FractalSystem(
         "projq", (ProjHomogMap(linear_forms),), (ProjPoint((1, 1)),), "linear"
     )
-    assert any(v.code == "DegreeTooLow" for v in validate_system(bad))
+    assert any(v.code == "NonExpanding" for v in validate_system(bad))
     linear_affine = FractalSystem(
         "affq",
         (PolyTupleMap((Polynomial(1, [((1,), Fraction(3))]),)),),
@@ -209,6 +210,133 @@ def test_validate_projective_degree_rule():
         "3x",
     )
     assert validate_system(linear_affine) == []
+
+
+def _poly(nvars, *terms):
+    """A polynomial from (coefficient, exponent, exponent, ...) terms."""
+    return Polynomial(nvars, [(tuple(t[1:]), Fraction(t[0])) for t in terms])
+
+
+_CURVE_37A = Curve.from_coefficients([0, 0, 1, -1, 0])
+_ONE = AffPoint((Fraction(1),))
+_ONE_ONE = AffPoint((Fraction(1), Fraction(1)))
+_P1 = ProjPoint((1, 2))
+
+
+def _system(space, maps, seeds, curve=None):
+    return FractalSystem(space, tuple(maps), tuple(seeds), "case", curve)
+
+
+def _ec(translation=INFINITY, n=2, seed=ec_point(0, 0), curve=_CURVE_37A):
+    return _system("ec", [EllTranslateMap(n, translation, _CURVE_37A)], [seed], curve)
+
+
+def _proj(*forms, seed=_P1):
+    return _system("projq", [ProjHomogMap(forms)], [seed])
+
+
+def _affq(*components, seed=_ONE):
+    return _system("affq", [PolyTupleMap(components)], [seed])
+
+
+_BIG = 10**400  # past the float range: its weight overflows, and the map expands
+
+# One minimal system per violation that validate_system can report, as the
+# (code, where, index) triples it must report and nothing else.
+_VIOLATIONS = {
+    "UnknownSpace": (_system("nope", [IntAffineMap(2, 0)], [IntPoint(0)]),
+                     [("UnknownSpace", "system", -1)]),
+    "NoMaps": (_system("int", [], [IntPoint(0)]), [("NoMaps", "system", -1)]),
+    "NoSeeds": (_system("int", [IntAffineMap(2, 0)], []), [("NoSeeds", "system", -1)]),
+    "MissingCurve": (_ec(curve=None), [("MissingCurve", "system", -1)]),
+    "SpaceMismatch-map": (
+        _system("int", [IntAffineMap(2, 0), GaussAffineMap(GaussPoint(2, 0), GaussPoint(0, 0))],
+                [IntPoint(0)]),
+        [("SpaceMismatch", "map", 1)]),
+    "SpaceMismatch-seed": (_system("int", [IntAffineMap(2, 0)], [IntPoint(0), GaussPoint(0, 0)]),
+                           [("SpaceMismatch", "seed", 1)]),
+    "SeedNotOnCurve": (_ec(seed=ec_point(1, 1)), [("SeedNotOnCurve", "seed", 0)]),
+    "TranslationNotOnCurve": (_ec(translation=ec_point(1, 1)),
+                              [("TranslationNotOnCurve", "map", 0)]),
+    "BadArity-proj": (_proj(_poly(3, (1, 2, 0, 0)), _poly(3, (1, 0, 2, 0))),
+                      [("BadArity", "map", 0)]),
+    "NotHomogeneous": (_proj(_poly(2, (1, 2, 0), (1, 0, 1)), _poly(2, (1, 0, 2))),
+                       [("NotHomogeneous", "map", 0)]),
+    "MixedDegrees": (_proj(_poly(2, (1, 2, 0)), _poly(2, (1, 0, 3))),
+                     [("MixedDegrees", "map", 0)]),
+    "NonIntegerForm": (_proj(_poly(2, ("1/2", 2, 0)), _poly(2, (1, 0, 2))),
+                       [("NonIntegerForm", "map", 0)]),
+    "CommonFactor": (_proj(_poly(2, (1, 1, 1)), _poly(2, (1, 1, 1))),
+                     [("CommonFactor", "map", 0)]),
+    "CommonZeroOnGrid": (
+        _proj(_poly(3, (1, 1, 1, 0)), _poly(3, (1, 1, 0, 1)), _poly(3, (1, 0, 1, 1)),
+              seed=ProjPoint((1, 1, 1))),
+        [("CommonZeroOnGrid", "map", 0)]),
+    "BadArity-poly": (_affq(_poly(2, (1, 2, 0))), [("BadArity", "map", 0)]),
+    "BadArity-seed": (_affq(_poly(1, (1, 2)), seed=_ONE_ONE), [("BadArity", "seed", 0)]),
+    "DegreeTooLow-poly": (_affq(_poly(1, (3, 0))), [("DegreeTooLow", "map", 0)]),
+    "NonExpanding-int": (_system("int", [IntAffineMap(-1, 1)], [IntPoint(0)]),
+                         [("NonExpanding", "map", 0)]),
+    "NonExpanding-gauss": (
+        _system("gauss", [GaussAffineMap(GaussPoint(0, 1), GaussPoint(1, 0))], [GaussPoint(0, 0)]),
+        [("NonExpanding", "map", 0)]),
+    "NonExpanding-poly-shift": (_affq(_poly(1, (1, 1), (1, 0))), [("NonExpanding", "map", 0)]),
+    "NonExpanding-poly-half": (_affq(_poly(1, ("1/2", 1))), [("NonExpanding", "map", 0)]),
+    "NonExpanding-poly-multivariate-linear": (
+        _affq(_poly(2, (2, 1, 0)), _poly(2, (3, 0, 1)), seed=_ONE_ONE),
+        [("NonExpanding", "map", 0)]),
+    "NonExpanding-proj": (_proj(_poly(2, (2, 1, 0)), _poly(2, (1, 0, 1))),
+                          [("NonExpanding", "map", 0)]),
+    "NonExpanding-ec": (_ec(n=1), [("NonExpanding", "map", 0)]),
+    "valid-int-1e400": (_system("int", [IntAffineMap(_BIG, 0), IntAffineMap(3, 1)], [IntPoint(0)]),
+                        []),
+    "valid-gauss-1e400": (
+        _system("gauss", [GaussAffineMap(GaussPoint(_BIG, 0), GaussPoint(0, 0))],
+                [GaussPoint(0, 0)]),
+        []),
+    "valid-poly-1e400": (_affq(_poly(1, (_BIG, 1))), []),
+}
+
+
+@pytest.mark.parametrize("case", list(_VIOLATIONS))
+def test_each_violation_code(case):
+    system, expected = _VIOLATIONS[case]
+    assert [(v.code, v.where, v.index) for v in validate_system(system)] == expected
+
+
+def test_multivariate_linear_tuple_names_the_missing_weight_rule():
+    (violation,) = validate_system(_VIOLATIONS["NonExpanding-poly-multivariate-linear"][0])
+    assert violation.message == "no weight rule for multivariate affine-linear tuples"
+
+
+_COEFFS = st.sampled_from([0, 1, -1, 2, -2, _BIG])
+
+
+@st.composite
+def _polynomials(draw, nvars):
+    exponents = st.tuples(*[st.integers(0, 2)] * nvars)
+    terms = draw(st.lists(st.tuples(_COEFFS, exponents), max_size=3))
+    return Polynomial(nvars, [(e, c) for c, e in terms])
+
+
+@st.composite
+def _any_system(draw):
+    kind = draw(st.sampled_from(["int", "gauss", "poly", "proj"]))
+    if kind == "int":
+        return _system("int", [IntAffineMap(draw(_COEFFS), draw(_COEFFS))], [IntPoint(1)])
+    if kind == "gauss":
+        a, b = (GaussPoint(draw(_COEFFS), draw(_COEFFS)) for _ in range(2))
+        return _system("gauss", [GaussAffineMap(a, b)], [GaussPoint(1, 0)])
+    n = draw(st.integers(1, 3))
+    polys = [draw(_polynomials(n)) for _ in range(n)]
+    if kind == "poly":
+        return _affq(*polys, seed=AffPoint((Fraction(1),) * n))
+    return _proj(*polys, seed=ProjPoint((1,) * n))
+
+
+@given(_any_system())
+def test_validate_returns_a_list_and_never_raises(system):
+    assert isinstance(validate_system(system), list)
 
 
 def test_validate_common_zero_grid():
