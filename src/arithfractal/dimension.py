@@ -3,10 +3,10 @@
 Weights derive from the maps: |a| for integer affine maps, the Gaussian
 norm of the multiplier under the default norm-counting convention (its
 square root under the absolute-value convention), the common degree for
-projective maps, the multiplier for elliptic translate maps, and the total
-degree for nonlinear affine tuples.  The left side is strictly decreasing
-in s, so the root is unique and bracketing bisection plus a Newton polish
-is safe.
+projective maps, the degree n^2 of [n] for elliptic translate maps (|n|
+under the absolute-value convention), and the total degree for nonlinear
+affine tuples.  The left side is strictly decreasing in s, so the root is
+unique and bracketing bisection plus a Newton polish is safe.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from .errors import (
     UndecidedError,
     UnsupportedMapKindError,
     UnsupportedSpaceError,
-    ZeroProjectivePointError,
 )
 from .heights import SizeValue
 from .polynomials import Polynomial
@@ -178,41 +177,35 @@ def _raw_orbit(
     depth = 0
     truncated = False
     map_count = len(images)
-    try:
-        while frontier and not truncated:
-            depth += 1
-            # Intra-generation order only matters when a truncation cut could
-            # land in this generation; the final sort fixes the order otherwise.
-            if len(records) + map_count * len(frontier) >= max_points:
-                frontier.sort()
-            next_frontier = []
-            seen_add = seen.add
-            rec_append = records.append
-            next_append = next_frontier.append
-            for payload in frontier:
-                for image in images:
-                    child = image(payload)
-                    child_size = size_fn(child)
-                    if child_size > bound_int:
-                        continue
-                    if child in seen:
-                        if counts is not None:
-                            counts[child] = counts.get(child, 0) + 1
-                        continue
-                    if len(records) >= max_points:
-                        truncated = True
-                        break
-                    seen_add(child)
-                    rec_append((child_size, child, depth))
-                    next_append(child)
-                if truncated:
+    while frontier and not truncated:
+        depth += 1
+        # Intra-generation order only matters when a truncation cut could
+        # land in this generation; the final sort fixes the order otherwise.
+        if len(records) + map_count * len(frontier) >= max_points:
+            frontier.sort()
+        next_frontier = []
+        seen_add = seen.add
+        rec_append = records.append
+        next_append = next_frontier.append
+        for payload in frontier:
+            for image in images:
+                child = image(payload)
+                child_size = size_fn(child)
+                if child_size > bound_int:
+                    continue
+                if child in seen:
+                    if counts is not None:
+                        counts[child] = counts.get(child, 0) + 1
+                    continue
+                if len(records) >= max_points:
+                    truncated = True
                     break
-            frontier = next_frontier
-    except ZeroProjectivePointError:
-        # Only on P^n with n >= 2: on P^1 validation rules out common zeros.
-        raise ZeroProjectivePointError(
-            f"map {images.index(image)} sends {space.to_point(payload)} to (0:...:0)"
-        ) from None
+                seen_add(child)
+                rec_append((child_size, child, depth))
+                next_append(child)
+            if truncated:
+                break
+        frontier = next_frontier
     return records, truncated
 
 
@@ -300,10 +293,9 @@ def _descend(system: FractalSystem, space: Space, payload, depth_limit: int) -> 
     # Depth-first search through preimages.  ``links`` sends each seed to True
     # and each visited point to (child, map index), its step towards the query,
     # so one lookup tells a seed, a revisit and a new parent apart.  As the
-    # visited set it ends the walk on Z and Z[i], where outside the basin
-    # radius preimages strictly shrink and inside it only finitely many points
-    # exist.  On affq a parent can be larger than its child (x/3 under
-    # x -> 3x), so there the depth limit may be what ends the walk.
+    # visited set it ends the walk: outside a basin radius preimages strictly
+    # shrink, on Z and Z[i] and, under exponents of at least 2, on affq, and
+    # inside it only finitely many points exist.
     links = dict.fromkeys((space.payload(s) for s in system.seeds), True)
     if payload in links:
         return MembershipResult(True, space.to_point(payload), (), False)

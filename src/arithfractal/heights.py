@@ -59,31 +59,22 @@ def height_growth_audit(system: FractalSystem, bag) -> list[MapGrowthStats]:
     """Per-map residuals of the height relation h(f(p)) = deg(f)*h(p) + O(1).
 
     The bag must come from the same system; the reported max |residual| is
-    the empirical bounded constant.
+    the empirical bounded constant.  Under P -> [n]P + T with T of infinite
+    order it is not bounded: the pairing term 2n<P, T> grows like sqrt(h(P)).
     """
     if bag.space != system.space:
         raise SpaceMismatchError("bag was enumerated from a different space")
     stats = []
     for i, map_ in enumerate(system.maps):
         degree = map_.degree()
-        residuals = []
-        for entry in bag.entries:
-            image = apply(map_, entry.point)
-            residuals.append(size_of(image).log_size - degree * entry.size.log_size)
-        if not residuals:
-            stats.append(MapGrowthStats(i, degree, 0.0, 0.0, 0.0, 0.0, 0))
-            continue
-        stats.append(
-            MapGrowthStats(
-                i,
-                degree,
-                min(residuals),
-                max(residuals),
-                sum(residuals) / len(residuals),
-                max(abs(r) for r in residuals),
-                len(residuals),
-            )
-        )
+        residuals = [
+            size_of(apply(map_, e.point)).log_size - degree * e.size.log_size for e in bag.entries
+        ]
+        stats.append(MapGrowthStats(
+            i, degree, min(residuals, default=0.0), max(residuals, default=0.0),
+            sum(residuals) / max(len(residuals), 1), max(map(abs, residuals), default=0.0),
+            len(residuals),
+        ))
     return stats
 
 

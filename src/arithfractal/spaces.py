@@ -28,8 +28,8 @@ Each map kind is likewise written once, as one class: ``image_fn`` and
 share; ``weight``, ``problems`` and ``json_fields`` give its Moran weight,
 the faults of its record and its JSON record; ``source_bound`` caps the size
 of a point that the map can send into an ambient window.  A map expands when
-its weight exceeds 1, one rule for every kind.  On P^1 ``problems`` is exact,
-Res(F, G) != 0 read off the Sylvester solve; on P^n, n >= 2, it scans a grid.
+its weight exceeds 1, one rule for every kind.  On every P^n ``problems`` is
+exact: the forms share no zero exactly when their Macaulay system solves.
 """
 
 from __future__ import annotations
@@ -39,12 +39,13 @@ import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import attrgetter
+from operator import add, attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, get_args
 
 from .elliptic import Curve, ECPoint, INFINITY, ec_add, ec_mul
 from .errors import (
+    BoundTooLargeError,
     ConfigError,
     NonExpandingWeightError,
     PointNotOnCurveError,
@@ -430,14 +431,15 @@ class PolyTupleMap(_MapKind):
 
     def preimage_fn(self) -> Callable:
         """Coordinatewise roots when each component is a single monomial
-        c*x_i^e in its own variable; every sign of an even root gives a
-        parent, and the all-positive parent comes last."""
+        c*x_i^e in its own variable, e >= 2: under e = 1 a parent can be
+        larger than its child (x/3 under x -> 3x).  Every sign of an even
+        root gives a parent, and the all-positive parent comes last."""
         diag = []
         for i, comp in enumerate(self.components):
             exps, coeff = comp.terms[0] if comp.is_monomial() else ((), 0)
-            if not exps or not exps[i] or any(e and j != i for j, e in enumerate(exps)):
+            if not exps or exps[i] < 2 or any(e and j != i for j, e in enumerate(exps)):
                 raise UnsupportedMapKindError(
-                    "preimage supports only coordinatewise monomial tuples"
+                    "preimage supports only coordinatewise monomial tuples of degree >= 2"
                 )
             diag.append((coeff, exps[i]))
 
@@ -473,38 +475,68 @@ class PolyTupleMap(_MapKind):
             yield "DegreeTooLow", "components need total degree >= 1"
 
 
-def _sylvester_solutions(forms: Sequence[Polynomial], d: int) -> Optional[list]:
-    """Coefficients (U then V, by rising power of y) of the solutions of
-    U*F + V*G = x^(2d-1) and = y^(2d-1) for integer binary forms F, G of
-    degree d, with deg U = deg V = d-1; None exactly when the Sylvester
-    matrix is singular, that is when Res(F, G) = 0."""
-    f, g = ([0] * (d + 1) for _ in forms)
-    for coeffs, form in zip((f, g), forms):
-        for (_, y_exp), c in form.terms:
-            coeffs[y_exp] = int(c)
-    n = 2 * d
-    # Row k holds the coefficient of x^(n-1-k) y^k, then the two right-hand sides.
-    rows = [
-        [h[k - j] if 0 <= k - j <= d else 0 for h in (f, g) for j in range(d)]
-        + [int(k == 0), int(k == n - 1)]
-        for k in range(n)
-    ]
-    # Gauss-Jordan on integer rows, each divided by its content after every
-    # step; Fractions are formed only from the final diagonal.
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+# The most entries, rows times columns, that a Macaulay matrix may have: its
+# elimination would take seconds for a dense cubic on P^3 or a sextic on P^2.
+_MACAULAY_LIMIT = 12_000
+
+
+def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of one degree, the first exponent falling."""
+    picks = itertools.combinations_with_replacement(range(nvars), degree)
+    return [tuple(map(pick.count, range(nvars))) for pick in picks]
+
+
+def _macaulay_solutions(forms: Sequence[Polynomial], solve: bool = True) -> Optional[list]:
+    """Coefficients of U_ij of degree D - d with sum_j U_ij*F_j = x_i^D, one
+    list per i (U_i0, U_i1, ..., each by ``_monomials``; [] if not solving),
+    for integer forms F_j of degree d >= 1 on P^n, D = (n+1)(d-1) + 1.  None
+    exactly when the forms share a zero over the algebraic numbers, so that
+    some x_i^D is not in the span (Macaulay); on P^1 this is the Sylvester
+    matrix.  Past ``_MACAULAY_LIMIT`` entries it raises BoundTooLarge."""
+    nvars, d = len(forms), forms[0].total_degree()
+    top = nvars * (d - 1) + 1
+    row_of = {e: k for k, e in enumerate(_monomials(nvars, top))}
+    shifts = _monomials(nvars, top - d)
+    ncols = nvars * len(shifts)
+    if len(row_of) * ncols > _MACAULAY_LIMIT:
+        raise BoundTooLargeError(f"its Macaulay matrix is {len(row_of)} x {ncols}, "
+                                 f"past the limit of {_MACAULAY_LIMIT} entries")
+    # Row k: the k-th monomial of degree D in each product u*F_j, then in each x_i^D.
+    rows = [[0] * (ncols + nvars) for _ in row_of]
+    for j, form in enumerate(forms):
+        for s, u in enumerate(shifts, j * len(shifts)):
+            for exps, c in form.terms:
+                rows[row_of[tuple(map(add, u, exps))]][s] = c.numerator
+    for i in range(nvars):
+        rows[row_of[(0,) * i + (top,) + (0,) * (nvars - 1 - i)]][ncols + i] = 1
+    if any(any(row[ncols:]) and not any(row[:ncols]) for row in rows):
+        return None  # no product u*F_j holds some x_i^D: the forms vanish at e_i
+    # Elimination on integer rows, each divided by its content after every
+    # step, with the smallest entry of a column as its pivot: below it only,
+    # or above it too (Gauss-Jordan) when solving.  A free unknown is 0.
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = min((k for k in range(r, len(rows)) if rows[k][col]), default=None,
+                    key=lambda k: abs(rows[k][col]))
         if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        p = top[col]
-        for r, row in enumerate(rows):
-            c = row[col]
-            if c and r != col:
-                row = [p * v - c * t for v, t in zip(row, top)]
-                content = math.gcd(*row) or 1  # a singular system may zero a row
-                rows[r] = [v // content for v in row]
-    return [[Fraction(row[n + rhs], row[k]) for k, row in enumerate(rows)] for rhs in (0, 1)]
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        p = rows[r][col]
+        for k in range(0 if solve else r + 1, len(rows)):
+            c = rows[k][col]
+            if c and k != r:
+                row = [p * v - c * t for v, t in zip(rows[k], rows[r])]
+                content = math.gcd(*row) or 1  # the row may vanish
+                rows[k] = [v // content for v in row]
+        pivots.append(col)
+    if any(any(row[ncols:]) for row in rows[len(pivots):]):
+        return None
+    solutions = [[0] * ncols for _ in forms] if solve else []
+    for row, col in zip(rows, pivots):
+        for i, solution in enumerate(solutions):
+            solution[col] = Fraction(row[ncols + i], row[col])
+    return solutions
 
 
 @dataclass(frozen=True)
@@ -531,17 +563,13 @@ class ProjHomogMap(_MapKind):
         return float(self.degree())
 
     def source_bound(self, bound: int) -> int:
-        """Northcott on P^1: H(f(q)) >= H(q)^d / (K*D), so H(q) <= (K*D*bound)^(1/d).
-
-        For forms F, G of degree d with Res(F, G) != 0 the Sylvester system
-        gives U, V of degree d-1 with U*F + V*G = x^(2d-1), and another pair
-        for y^(2d-1).  K is the larger l1 norm ||U|| + ||V|| of the two, so
-        max(|F(a,b)|, |G(a,b)|) >= H^d / K; D is the lcm of the denominators
-        of all four, so for coprime (a, b) the gcd of F(a,b) and G(a,b)
-        divides D (Call-Silverman).  Defined for maps on P^1 that pass
-        validation, so that Res(F, G) != 0.
-        """
-        solutions = _sylvester_solutions(self.forms, self.degree())
+        """Northcott on every P^n: H(f(q)) >= H(q)^d / (K*D'), so
+        H(q) <= (K*D'*bound)^(1/d), for the U_ij of ``_macaulay_solutions``.
+        K is the largest l1 norm sum_j ||U_ij|| over i, so max_j |F_j(q)| >=
+        H(q)^d / K; D' is the lcm of their denominators, so for a primitive
+        q the gcd of the F_j(q) divides D' (Call-Silverman).  Defined for
+        maps that pass validation."""
+        solutions = _macaulay_solutions(self.forms)
         norm = max(sum(map(abs, solution)) for solution in solutions)
         lcm = math.lcm(*(c.denominator for solution in solutions for c in solution))
         return _floor_root(math.floor(norm * lcm * bound), self.degree())
@@ -557,11 +585,12 @@ class ProjHomogMap(_MapKind):
             yield "MixedDegrees", f"form degrees differ: {degrees}"
         elif any(not f.has_integer_coefficients() for f in forms):
             yield "NonIntegerForm", "forms need integer coefficients"
-        elif len(forms) == 2:
-            if _sylvester_solutions(forms, self.degree()) is None:
-                yield "CommonFactor", "Res(F, G) = 0: the forms share a factor"
-        elif (zero := _common_zero_on_grid(forms)) is not None:
-            yield "CommonZeroOnGrid", f"forms vanish simultaneously at {zero}"
+        elif degrees != {0}:  # nonzero constants share no zero
+            try:
+                if _macaulay_solutions(forms, solve=False) is None:
+                    yield "CommonZero", "the forms share a zero over the algebraic numbers"
+            except BoundTooLargeError as exc:
+                yield "BoundTooLarge", str(exc)
 
 
 @dataclass(frozen=True)
@@ -577,14 +606,15 @@ class EllTranslateMap(_MapKind):
     json_fields = (("n", _parse_int, str), ("translate", _ec_from_json, _ec_to_json))
 
     def degree(self) -> int:
-        return self.multiplier
+        return self.multiplier**2  # [n] has degree n^2: heights grow by n^2
 
     def image_fn(self) -> Callable:
         n, translation, curve = self.multiplier, self.translation, self.curve
         return lambda point: ec_add(curve, ec_mul(curve, n, point), translation)
 
     def weight(self, convention: str) -> float:
-        return float(self.multiplier)
+        """n^2, or |n| under the abs convention, as for Gaussian maps."""
+        return float(self.degree() if convention == "norm" else abs(self.multiplier))
 
     def problems(self, curve):
         if curve is not None and not curve.contains(self.translation):
@@ -627,8 +657,6 @@ def apply(map_: SimilarityMap, point: SpacePoint) -> SpacePoint:
 
 def _rational_roots(value: Fraction, degree: int) -> tuple:
     """Every rational degree-th root of a rational, the positive one last."""
-    if degree == 1:
-        return (value,)
     num, den = abs(value.numerator), value.denominator
     top, bottom = _floor_root(num, degree), _floor_root(den, degree)
     if top**degree != num or bottom**degree != den or value < 0 and degree % 2 == 0:
@@ -659,9 +687,9 @@ def preimage(map_: SimilarityMap, point: SpacePoint) -> Optional[SpacePoint]:
     """The lattice-exact preimage when the map kind supports one, else None.
 
     Affine integer and Gaussian maps invert by exact division; diagonal
-    monomial tuples invert coordinatewise (positive root for even degrees).
-    Other kinds raise UnsupportedMapKind: membership for them falls back to
-    enumeration.
+    monomial tuples of exponents >= 2 invert coordinatewise (positive root
+    for even degrees).  Other kinds raise UnsupportedMapKind: membership for
+    them falls back to enumeration.
     """
     space = _map_space(map_, point)
     parents = map_.preimage_fn()(space.payload(point))
@@ -693,17 +721,6 @@ class Violation(NamedTuple):
     where: str
     index: int
     message: str
-
-
-def _common_zero_on_grid(forms: Sequence[Polynomial]) -> Optional[tuple[int, ...]]:
-    """A nonzero point of the grid [-3, 3]^(n+1) where all forms vanish: the
-    spot check for a common rational zero on P^n with n >= 2.  On P^1 the
-    resultant test of ``ProjHomogMap.problems`` is exact instead."""
-    side = range(-3, 4)
-    for candidate in itertools.product(side, repeat=forms[0].nvars):
-        if any(candidate) and all(f.evaluate_int(candidate) == 0 for f in forms):
-            return candidate
-    return None
 
 
 def validate_system(system: FractalSystem) -> list[Violation]:

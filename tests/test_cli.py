@@ -568,10 +568,11 @@ def test_rerun_of_census_manifest_with_threads(tmp_path, capsys):
     assert (second / "census.csv").read_bytes() == (first / "census.csv").read_bytes()
 
 
-def test_zero_image_is_analysis_error(tmp_path, capsys):
-    # (x1^2 - 16x2^2 : x1x2 - 4x2^2 : x3^2) vanishes only at (4:1:0), off the
-    # grid that validation scans on P^2.  On P^1 the first two forms fail
-    # validation instead: they share the factor x1 - 4x2.
+def test_zero_image_fails_validation(tmp_path, capsys):
+    # (x1^2 - 16x2^2 : x1x2 - 4x2^2 : x3^2) vanishes only at (4:1:0), outside
+    # [-3, 3]^3, and (x1^2 - 2x2^2 : x3^2 : x3^2) only at (sqrt(2):1:0), which
+    # is not rational; both fail validation.  On P^1 the first two forms fail
+    # too: they share the factor x1 - 4x2.
     forms = [
         [{"coeff": "1", "exponents": [2, 0, 0]}, {"coeff": "-16", "exponents": [0, 2, 0]}],
         [{"coeff": "1", "exponents": [1, 1, 0]}, {"coeff": "-4", "exponents": [0, 2, 0]}],
@@ -583,6 +584,11 @@ def test_zero_image_is_analysis_error(tmp_path, capsys):
         "maps": [{"kind": "proj_homog", "forms": forms}],
         "seeds": [["4", "1", "0"]],
     }
+    root_2 = {**plane, "label": "zero-at-root-2", "maps": [{"kind": "proj_homog", "forms": [
+        [{"coeff": "1", "exponents": [2, 0, 0]}, {"coeff": "-2", "exponents": [0, 2, 0]}],
+        forms[2],
+        forms[2],
+    ]}]}
     line = {
         "space": "projq",
         "label": "zero-at-4-1",
@@ -593,18 +599,13 @@ def test_zero_image_is_analysis_error(tmp_path, capsys):
         "seeds": [["4", "1"]],
     }
     path = tmp_path / "zero.json"
-    path.write_text(json.dumps(plane))
-    for argv in (["enumerate", str(path), "--bound", "100"],
-                 ["audit", str(path), "--bound", "100"]):
-        code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
-        assert code == 3
-        assert "ZeroProjectivePoint" in err and "map 0 sends (4:1:0)" in err
-    path.write_text(json.dumps(line))
-    for argv in (["enumerate", str(path), "--bound", "100"],
-                 ["audit", str(path), "--bound", "10", "--window", "ambient"]):
-        code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
-        assert code == 2
-        assert "system fails validation: CommonFactor at map 0: " in err
+    for document, audit in ((plane, ["--bound", "100"]), (root_2, ["--bound", "100"]),
+                            (line, ["--bound", "10", "--window", "ambient"])):
+        path.write_text(json.dumps(document))
+        for argv in (["enumerate", str(path), "--bound", "100"], ["audit", str(path)] + audit):
+            code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+            assert code == 2
+            assert "system fails validation: CommonZero at map 0: " in err
 
 
 def test_ambient_window_past_point_limit_is_analysis_error(tmp_path, capsys):

@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 
 from arithfractal import (
     WeightSpec,
+    counting_function,
     dimension_equation,
+    enumerate_system,
     evaluate_pressure,
+    fit_growth_exponent,
+    height_growth_audit,
     reciprocal_sum_audit,
     solve_dimension,
+    system_from_dict,
     t_module_weights,
+    validate_system,
 )
 from arithfractal.errors import NonExpandingWeightError
 
@@ -148,3 +154,57 @@ def test_reciprocal_audit_digit_systems(digits01, digits012):
         audit = reciprocal_sum_audit(system)
         assert audit.reciprocal_sum == total
         assert audit.s_at_most_one
+
+
+# --- elliptic maps weigh deg [n] = n^2 --------------------------------------
+
+_37A = {"a1": "0", "a2": "0", "a3": "1", "a4": "-1", "a6": "0"}
+
+
+def _ec_system(*maps):
+    """Maps P -> [n]P + T on 37a, given as (n, T) pairs, seeded at (0,0)."""
+    return system_from_dict({
+        "space": "ec",
+        "label": "37a",
+        "curve": _37A,
+        "maps": [{"kind": "ell_translate", "n": str(n), "translate": t} for n, t in maps],
+        "seeds": [["0", "0"]],
+    })
+
+
+@pytest.fixture(scope="module")
+def ec_kp():
+    """{Q -> [2]Q, Q -> [2]Q + P} from P = (0,0): the orbit {kP : k >= 1}."""
+    return _ec_system((2, "inf"), (2, ["0", "0"]))
+
+
+def test_ec_weights_are_degrees(ec_kp):
+    assert dimension_equation(ec_kp).weights == (4.0, 4.0)
+    assert dimension_equation(ec_kp, "abs").weights == (2.0, 2.0)
+    assert [m.degree() for m in ec_kp.maps] == [4, 4]
+    assert solve_dimension(dimension_equation(ec_kp)).s == 0.5
+
+
+def test_ec_dimension_agrees_with_growth_fit(ec_kp):
+    # N(x) counts kP with log H(kP) <= x, about c*k^2, so it grows like
+    # x^(1/2); the fit over the bag's own log heights reads 0.497.
+    bag = enumerate_system(ec_kp, 10**300)
+    grid = [x for x in bag.log_sizes() if x > 0]
+    fit = fit_growth_exponent(counting_function(bag, grid))
+    assert abs(fit.exponent - solve_dimension(dimension_equation(ec_kp)).s) < 0.02
+
+
+def test_ec_height_audit_constant_does_not_grow(ec_kp):
+    # h([2]Q) - 4h(Q) is bounded, so its max |residual| is the same at both
+    # bounds.  [2]Q + P adds the cross term 2<[2]Q, P> = 4k*h^(P) for Q = kP,
+    # which grows like the square root of h(Q): its max |residual| over the
+    # square root of the largest log height holds instead.
+    low, high = (height_growth_audit(ec_kp, enumerate_system(ec_kp, 10**e)) for e in (100, 300))
+    assert abs(low[0].max_abs_residual - high[0].max_abs_residual) <= 1
+    ratios = [s.max_abs_residual / math.sqrt(e * math.log(10)) for s, e in ((low[1], 100), (high[1], 300))]
+    assert abs(ratios[0] - ratios[1]) <= 0.05 * ratios[1]
+
+
+def test_negative_multiplier_expands():
+    assert validate_system(_ec_system((-2, "inf"))) == []
+    assert dimension_equation(_ec_system((-2, "inf")), "abs").weights == (2.0,)

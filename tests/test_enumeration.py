@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arithfractal import (
@@ -30,12 +30,13 @@ from arithfractal import (
     parse_polynomial,
     replay_certificate,
 )
-from arithfractal import enumeration
+from arithfractal import enumeration, spaces
 from arithfractal.cli import main
 from arithfractal.errors import (
     BoundTooLargeError,
     ConfigError,
     UndecidedError,
+    UnsupportedMapKindError,
     UnsupportedSpaceError,
     ZeroProjectivePointError,
 )
@@ -43,7 +44,7 @@ from arithfractal.polynomials import Polynomial
 from arithfractal.spaces import (
     SPACES,
     ProjHomogMap,
-    _sylvester_solutions,
+    _macaulay_solutions,
     gauss_norm,
     system_from_dict,
     system_to_dict,
@@ -328,7 +329,7 @@ def test_member_through_negative_parent():
     st.integers(1, 2).flatmap(lambda n: st.tuples(
         st.lists(
             st.lists(
-                st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(2, 3)),
+                st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3)),
                 min_size=n, max_size=n,
             ),
             min_size=1, max_size=3,
@@ -339,8 +340,8 @@ def test_member_through_negative_parent():
 def test_member_agrees_with_bag_for_random_diagonal_systems(maps_and_seeds):
     # Integer seeds and coefficients keep every orbit point an integer tuple
     # whose height never drops under a map, so the bag at a bound holds every
-    # member up to that bound.  Exponents of at least 2 keep the descent
-    # finite: the parents of x under c*x must be divided by c without end.
+    # member up to that bound.  A component of exponent 1 sends membership to
+    # the enumeration fallback, which gives no certificate.
     maps, seeds = maps_and_seeds
     system = FractalSystem(
         "affq",
@@ -348,6 +349,8 @@ def test_member_agrees_with_bag_for_random_diagonal_systems(maps_and_seeds):
         tuple(AffPoint(tuple(Fraction(c) for c in seed)) for seed in seeds),
         "random",
     )
+    assume(not validate_system(system))  # x -> x and (2x1, 3x2) do not expand
+    linear = any(e == 1 for terms in maps for _, e in terms)
     radius = 40 if len(seeds[0]) == 1 else 6
     bag = enumerate_system(system, radius)
     members = {e.point for e in bag.entries}
@@ -356,8 +359,19 @@ def test_member_agrees_with_bag_for_random_diagonal_systems(maps_and_seeds):
         point = AffPoint(tuple(Fraction(c) for c in coords))
         result = is_member(system, point)
         assert result.member == (point in members)
-        if result.member:
+        assert linear or not result.via_fallback
+        if result.member and not result.via_fallback:
             assert replay_certificate(system, result) == point
+
+
+def test_linear_affq_membership_ends_by_enumeration():
+    # The parents of 5 under x -> -3x are -5/3, 5/9, ...: a descent would not
+    # end, and enumerating up to the query's height finds only the seed.
+    system = FractalSystem("affq", (diagonal_map((-3, 1)),), (AffPoint((Fraction(0),)),), "neg3")
+    with pytest.raises(UnsupportedMapKindError):
+        system.maps[0].preimage_fn()
+    assert is_member(system, AffPoint((Fraction(5),))) == (False, None, (), True)
+    assert is_member(system, AffPoint((Fraction(0),))).member
 
 
 def test_member_fallback_for_projective(p1_doubling):
@@ -570,18 +584,50 @@ _COEFFS = st.integers(2, 3).flatmap(
 ).filter(lambda coeffs: resultant(*coeffs) != 0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_COEFFS)
-def test_sylvester_solutions_solve_bezout(coeffs):
-    forms = tuple(binary_form(c) for c in coeffs)
-    d = len(coeffs[0]) - 1
-    solutions = _sylvester_solutions(forms, d)
-    for solution, power in zip(solutions, ((2 * d - 1, 0), (0, 2 * d - 1))):
-        u, v = binary_form(solution[:d]), binary_form(solution[d:])
-        assert u * forms[0] + v * forms[1] == Polynomial(2, [(power, 1)])
+def monomials(nvars, degree):
+    """Exponent tuples of one degree in lexicographic order, largest first."""
+    box = itertools.product(range(degree + 1), repeat=nvars)
+    return sorted((e for e in box if sum(e) == degree), reverse=True)
 
 
-def _p1_codes(forms):
+def ternary_form(coeffs, degree):
+    """A form on P^2 from its coefficients in the order of ``monomials``."""
+    return Polynomial(3, list(zip(monomials(3, degree), coeffs)))
+
+
+def _ternary(degree, coeffs=st.integers(-3, 3)):
+    size = len(monomials(3, degree))
+    return st.lists(coeffs, min_size=size, max_size=size).map(lambda c: ternary_form(c, degree))
+
+
+# Triples of nonzero ternary forms of degree 1 to 3 with coefficients in [-5, 5].
+_TRIPLES = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(*[_ternary(d, st.integers(-5, 5)).filter(bool)] * 3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_COEFFS.map(lambda cs: tuple(map(binary_form, cs))), _TRIPLES))
+def test_macaulay_solutions_solve_bezout(forms):
+    # Every solution gives sum_j U_ij*F_j = x_i^D, D = (n+1)(d-1) + 1, with
+    # U_ij of degree D - d listed form after form.
+    nvars, d = len(forms), forms[0].total_degree()
+    solutions = _macaulay_solutions(forms)
+    if nvars == 2:
+        assert solutions is not None  # _COEFFS draws Res(F, G) != 0
+    assume(solutions is not None)
+    top = nvars * (d - 1) + 1
+    shifts = monomials(nvars, top - d)
+    for i, solution in enumerate(solutions):
+        total = Polynomial(nvars, [])
+        for j, form in enumerate(forms):
+            coeffs = solution[j * len(shifts):(j + 1) * len(shifts)]
+            total = total + Polynomial(nvars, list(zip(shifts, coeffs))) * form
+        power = tuple(top if k == i else 0 for k in range(nvars))
+        assert total == Polynomial(nvars, [(power, 1)])
+
+
+def _codes(forms):
     return [code for code, _ in ProjHomogMap(tuple(forms)).problems(None)]
 
 
@@ -599,7 +645,7 @@ def _nonzero_binary_form(degree):
 def test_planted_common_factor_is_rejected(factors):
     # H*A : H*B with H linear or quadratic share the factor H.
     h, a, b = factors
-    assert _p1_codes((h * a, h * b)) == ["CommonFactor"]
+    assert _codes((h * a, h * b)) == ["CommonZero"]
 
 
 # Pairs of nonzero binary forms of degree 2 to 4 with small coefficients, so
@@ -615,10 +661,10 @@ _ANY_PAIR = st.integers(2, 4).flatmap(
 @given(_ANY_PAIR)
 def test_p1_forms_validate_exactly_when_resultant_is_nonzero(coeffs):
     forms = [binary_form(c) for c in coeffs]
-    codes = _p1_codes(forms)
-    assert codes == ([] if resultant(*coeffs) != 0 else ["CommonFactor"])
+    codes = _codes(forms)
+    assert codes == ([] if resultant(*coeffs) != 0 else ["CommonZero"])
     if any(all(f.evaluate_int(q) == 0 for f in forms) for q in p1_window(10)):
-        assert codes == ["CommonFactor"]
+        assert codes == ["CommonZero"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -639,6 +685,91 @@ def test_source_bound_tight_on_p1_doubling(p1_doubling):
         image = map_.image_fn()
         reach.append(max(max(q) for q in p1_window(300) if max(map(abs, image(q))) <= 300))
     assert [m.source_bound(300) for m in p1_doubling.maps] == reach == [17, 24]
+
+
+# --- the exact morphism test on P^2 ------------------------------------------
+
+
+def _combination(generators, degree):
+    """Forms of a degree in the ideal of the generators: sum_k G_k*L_k with
+    random G_k of the complementary degrees."""
+    return st.tuples(*[_ternary(degree - g.total_degree()) for g in generators]).map(
+        lambda cofactors: sum((c * g for c, g in zip(cofactors, generators)), Polynomial(3, []))
+    )
+
+
+def _line_generators(point):
+    """Linear forms whose only common zero is the point: the 2x2 minors."""
+    a, b, c = point
+    return [Polynomial(3, [((1, 0, 0), b), ((0, 1, 0), -a)]),
+            Polynomial(3, [((1, 0, 0), c), ((0, 0, 1), -a)]),
+            Polynomial(3, [((0, 1, 0), c), ((0, 0, 1), -b)])]
+
+
+_POINTS = st.tuples(*[st.integers(-4, 4)] * 3).filter(any)
+_NON_SQUARES = st.integers(-10, 30).filter(lambda c: c < 0 or math.isqrt(c) ** 2 != c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: _POINTS.flatmap(lambda p: st.tuples(*[_combination(_line_generators(p), d)] * 3))
+))
+def test_planted_rational_zero_is_rejected(forms):
+    assume(all(forms))
+    assert _codes(forms) == ["CommonZero"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: _NON_SQUARES.flatmap(lambda c: st.tuples(*[
+    _combination([Polynomial(3, [((2, 0, 0), 1), ((0, 2, 0), -c)]),
+                  Polynomial(3, [((0, 0, 1), 1)])], d)] * 3))))
+def test_planted_quadratic_zero_is_rejected(forms):
+    # Forms in the ideal (x1^2 - c*x2^2, x3) share the zero (sqrt(c):1:0),
+    # which no rational grid holds.
+    assume(all(forms))
+    assert _codes(forms) == ["CommonZero"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda d: st.tuples(*[_ternary(d, st.integers(-2, 2))] * 3)))
+def test_p2_triples_with_a_small_rational_zero_are_rejected(forms):
+    assume(all(forms))
+    box = itertools.product(range(-5, 6), repeat=3)
+    if any(any(q) and all(f.evaluate_int(q) == 0 for f in forms) for q in box):
+        assert _codes(forms) == ["CommonZero"]
+
+
+@pytest.mark.parametrize("nvars, degree", [(2, 2), (2, 7), (3, 2), (3, 3), (3, 4), (4, 2)])
+def test_diagonal_maps_validate(nvars, degree):
+    forms = [Polynomial(nvars, [(tuple(degree if j == i else 0 for j in range(nvars)), c)])
+             for i, c in enumerate((1, 2, 3, -5)[:nvars])]
+    system = FractalSystem("projq", (ProjHomogMap(tuple(forms)),), (ProjPoint((1,) * nvars),))
+    assert validate_system(system) == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(*[_ternary(2)] * 3), st.integers(1, 12))
+def test_p2_source_bound_against_brute_force(forms, bound):
+    assume(all(forms) and not _codes(forms))
+    map_ = ProjHomogMap(forms)
+    cutoff, image = map_.source_bound(bound), map_.image_fn()
+    for q in itertools.product(range(-bound, bound + 1), repeat=3):
+        if math.gcd(*q) == 1 and max(map(abs, image(q))) <= bound:
+            assert max(map(abs, q)) <= cutoff, (q, image(q))
+
+
+def test_macaulay_matrix_past_the_limit_is_bound_too_large():
+    # (x^d : y^d) has a 2d x 2d matrix; the largest d under the limit validates.
+    d = math.isqrt(spaces._MACAULAY_LIMIT) // 2
+    for degree, codes in ((d, []), (d + 1, ["BoundTooLarge"])):
+        forms = (Polynomial(2, [((degree, 0), 1)]), Polynomial(2, [((0, degree), 1)]))
+        system = FractalSystem("projq", (ProjHomogMap(forms),), (ProjPoint((1, 1)),))
+        assert [v.code for v in validate_system(system)] == codes
+    side = 2 * d + 2
+    message = (f"^system fails validation: BoundTooLarge at map 0: its Macaulay matrix is "
+               f"{side} x {side}, past the limit of {spaces._MACAULAY_LIMIT} entries$")
+    with pytest.raises(ConfigError, match=message):
+        enumerate_system(system, 10)
 
 
 def brute_ambient_audit(system, window):
@@ -858,7 +989,7 @@ def test_intersection_requires_affine(z_binary):
         curve_intersection_probe(z_binary, parse_polynomial("x1", 1), [10])
 
 
-# --- a map that sends an orbit point to (0:...:0) ------------------------------
+# --- forms with a common zero -------------------------------------------------
 
 
 def _form(*terms):
@@ -877,9 +1008,9 @@ _ZERO_AT_4_1 = {
     "seeds": [["4", "1"]],
 }
 
-# (x1^2 - 16x2^2 : x1x2 - 4x2^2 : x3^2) vanishes only at (4:1:0), which lies
-# off the radius-3 grid of the common-zero check on P^2, so the system
-# validates.
+# (x1^2 - 16x2^2 : x1x2 - 4x2^2 : x3^2) vanishes only at (4:1:0), outside
+# the box [-3, 3]^3, and (x1^2 - 2x2^2 : x3^2 : x3^2) only at (sqrt(2):1:0),
+# which is not rational.
 _ZERO_AT_4_1_0 = {
     "space": "projq",
     "label": "zero-at-4-1-0",
@@ -890,18 +1021,33 @@ _ZERO_AT_4_1_0 = {
     ]}],
     "seeds": [["4", "1", "0"]],
 }
+_ZERO_AT_ROOT_2 = {
+    **_ZERO_AT_4_1_0,
+    "label": "zero-at-root-2",
+    "maps": [{"kind": "proj_homog", "forms": [
+        _form(("1", [2, 0, 0]), ("-2", [0, 2, 0])),
+        _form(("1", [0, 0, 2])),
+        _form(("1", [0, 0, 2])),
+    ]}],
+    "seeds": [["1", "1", "1"]],
+}
 
 
 def test_zero_image_names_map_and_point():
+    # Validation is exact on P^2, so no valid system reaches (0:0:0); the
+    # raw map still refuses to send (4:1:0) there.
     system = system_from_dict(_ZERO_AT_4_1_0)
-    assert not validate_system(system)
     with pytest.raises(ZeroProjectivePointError):
         apply(system.maps[0], ProjPoint((4, 1, 0)))
-    message = r"map 0 sends \(4:1:0\) to \(0:\.\.\.:0\)"
-    with pytest.raises(ZeroProjectivePointError, match=message):
-        enumerate_system(system, 100)
-    with pytest.raises(ZeroProjectivePointError, match=message):
-        audit_exactness(system, 100)
+    message = r"^system fails validation: CommonZero at map 0: "
+    for system in (system, system_from_dict(_ZERO_AT_ROOT_2)):
+        assert [(v.code, v.where, v.index) for v in validate_system(system)] == [
+            ("CommonZero", "map", 0)
+        ]
+        with pytest.raises(ConfigError, match=message):
+            enumerate_system(system, 100)
+        with pytest.raises(ConfigError, match=message):
+            audit_exactness(system, 100)
 
 
 def test_forms_with_a_common_factor_get_no_cutoff(tmp_path, capsys):
@@ -917,10 +1063,10 @@ def test_forms_with_a_common_factor_get_no_cutoff(tmp_path, capsys):
         ]}],
         "seeds": [["1", "1"]],
     })
-    message = r"^system fails validation: CommonFactor at map 0: "
+    message = r"^system fails validation: CommonZero at map 0: "
     for system in (identity, system_from_dict(_ZERO_AT_4_1)):
         assert [(v.code, v.where, v.index) for v in validate_system(system)] == [
-            ("CommonFactor", "map", 0)
+            ("CommonZero", "map", 0)
         ]
         with pytest.raises(ConfigError, match=message):
             enumerate_system(system, 100)
@@ -933,4 +1079,4 @@ def test_forms_with_a_common_factor_get_no_cutoff(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["--out-dir", str(tmp_path), "dim", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "CommonFactor at map 0" in err and "map 1" not in err
+    assert "CommonZero at map 0" in err and "map 1" not in err

@@ -267,11 +267,14 @@ _VIOLATIONS = {
     "NonIntegerForm": (_proj(_poly(2, ("1/2", 2, 0)), _poly(2, (1, 0, 2))),
                        [("NonIntegerForm", "map", 0)]),
     "CommonFactor": (_proj(_poly(2, (1, 1, 1)), _poly(2, (1, 1, 1))),
-                     [("CommonFactor", "map", 0)]),
+                     [("CommonZero", "map", 0)]),
     "CommonZeroOnGrid": (
         _proj(_poly(3, (1, 1, 1, 0)), _poly(3, (1, 1, 0, 1)), _poly(3, (1, 0, 1, 1)),
               seed=ProjPoint((1, 1, 1))),
-        [("CommonZeroOnGrid", "map", 0)]),
+        [("CommonZero", "map", 0)]),
+    "BoundTooLarge": (_proj(_poly(3, (1, 5, 0, 0)), _poly(3, (1, 0, 5, 0)), _poly(3, (1, 0, 0, 5)),
+                            seed=ProjPoint((1, 1, 1))),
+                      [("BoundTooLarge", "map", 0)]),
     "BadArity-poly": (_affq(_poly(2, (1, 2, 0))), [("BadArity", "map", 0)]),
     "BadArity-seed": (_affq(_poly(1, (1, 2)), seed=_ONE_ONE), [("BadArity", "seed", 0)]),
     "DegreeTooLow-poly": (_affq(_poly(1, (3, 0))), [("DegreeTooLow", "map", 0)]),
@@ -345,15 +348,15 @@ def test_validate_common_zero_grid():
     def monomial(*exponents):
         return Polynomial(len(exponents), [(exponents, Fraction(1))])
 
-    # On P^2, x1*x2 : x1*x3 : x2*x3 vanish at (1:0:0), (0:1:0) and (0:0:1).
+    # On P^2, x1*x2 : x1*x3 : x2*x3 vanish at (1:0:0), (0:1:0) and (0:0:1);
+    # on P^1, x1*x2 : x1*x2 vanish at (1:0) and (0:1).  One exact test
+    # rejects both.
     plane = ProjHomogMap((monomial(1, 1, 0), monomial(1, 0, 1), monomial(0, 1, 1)))
     bad = FractalSystem("projq", (plane,), (ProjPoint((1, 1, 1)),), "zeros")
-    assert [v.code for v in validate_system(bad)] == ["CommonZeroOnGrid"]
-    # On P^1, x1*x2 : x1*x2 vanish at (1:0) and (0:1); the exact resultant
-    # test rejects them, not the grid.
+    assert [v.code for v in validate_system(bad)] == ["CommonZero"]
     line = ProjHomogMap((monomial(1, 1), monomial(1, 1)))
     bad = FractalSystem("projq", (line,), (ProjPoint((1, 1)),), "zeros")
-    assert [v.code for v in validate_system(bad)] == ["CommonFactor"]
+    assert [v.code for v in validate_system(bad)] == ["CommonZero"]
 
 
 # --- serialization --------------------------------------------------------
