@@ -293,9 +293,10 @@ def _descend(system: FractalSystem, space: Space, payload, depth_limit: int) -> 
     # Depth-first search through preimages.  ``links`` sends each seed to True
     # and each visited point to (child, map index), its step towards the query,
     # so one lookup tells a seed, a revisit and a new parent apart.  As the
-    # visited set it ends the walk: outside a basin radius preimages strictly
-    # shrink, on Z and Z[i] and, under exponents of at least 2, on affq, and
-    # inside it only finitely many points exist.
+    # visited set it ends the walk on Z and Z[i], where outside the basin
+    # radius preimages strictly shrink and inside it only finitely many points
+    # exist.  On affq a parent can be larger than its child (x/3 under
+    # x -> 3x), so there the depth limit may be what ends the walk.
     links = dict.fromkeys((space.payload(s) for s in system.seeds), True)
     if payload in links:
         return MembershipResult(True, space.to_point(payload), (), False)

@@ -70,11 +70,17 @@ def height_growth_audit(system: FractalSystem, bag) -> list[MapGrowthStats]:
         residuals = [
             size_of(apply(map_, e.point)).log_size - degree * e.size.log_size for e in bag.entries
         ]
-        stats.append(MapGrowthStats(
-            i, degree, min(residuals, default=0.0), max(residuals, default=0.0),
-            sum(residuals) / max(len(residuals), 1), max(map(abs, residuals), default=0.0),
-            len(residuals),
-        ))
+        stats.append(
+            MapGrowthStats(
+                i,
+                degree,
+                min(residuals, default=0.0),
+                max(residuals, default=0.0),
+                sum(residuals) / max(len(residuals), 1),
+                max(map(abs, residuals), default=0.0),
+                len(residuals),
+            )
+        )
     return stats
 
 

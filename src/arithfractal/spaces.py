@@ -45,7 +45,6 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, ge
 
 from .elliptic import Curve, ECPoint, INFINITY, ec_add, ec_mul
 from .errors import (
-    BoundTooLargeError,
     ConfigError,
     NonExpandingWeightError,
     PointNotOnCurveError,
@@ -431,15 +430,14 @@ class PolyTupleMap(_MapKind):
 
     def preimage_fn(self) -> Callable:
         """Coordinatewise roots when each component is a single monomial
-        c*x_i^e in its own variable, e >= 2: under e = 1 a parent can be
-        larger than its child (x/3 under x -> 3x).  Every sign of an even
-        root gives a parent, and the all-positive parent comes last."""
+        c*x_i^e in its own variable; every sign of an even root gives a
+        parent, and the all-positive parent comes last."""
         diag = []
         for i, comp in enumerate(self.components):
             exps, coeff = comp.terms[0] if comp.is_monomial() else ((), 0)
-            if not exps or exps[i] < 2 or any(e and j != i for j, e in enumerate(exps)):
+            if not exps or not exps[i] or any(e and j != i for j, e in enumerate(exps)):
                 raise UnsupportedMapKindError(
-                    "preimage supports only coordinatewise monomial tuples of degree >= 2"
+                    "preimage supports only coordinatewise monomial tuples"
                 )
             diag.append((coeff, exps[i]))
 
@@ -475,45 +473,58 @@ class PolyTupleMap(_MapKind):
             yield "DegreeTooLow", "components need total degree >= 1"
 
 
-# The most entries, rows times columns, that a Macaulay matrix may have: its
-# elimination would take seconds for a dense cubic on P^3 or a sextic on P^2.
-_MACAULAY_LIMIT = 12_000
+# The most entries, rows times columns, that a Macaulay matrix may have: every
+# map on P^1 that the parser admits (degree 64, 128 x 128), and on P^2 up to
+# degree 5, on P^3 up to degree 2.  Its elimination mod _MACAULAY_PRIME takes
+# at most 0.3 s on a shared 2-vCPU VM, whatever the coefficients.  The exact
+# elimination runs only where that one fails; its cost grows like rows^2 *
+# columns * coefficient bits, which _MACAULAY_EXACT_LIMIT caps at about 1 s.
+_MACAULAY_LIMIT = 128 * 128
+_MACAULAY_PRIME = 2**61 - 1
+_MACAULAY_EXACT_LIMIT = 10**7
 
 
 def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of one degree, the first exponent falling."""
-    picks = itertools.combinations_with_replacement(range(nvars), degree)
-    return [tuple(map(pick.count, range(nvars))) for pick in picks]
+    """Exponent tuples of one degree in falling lexicographic order."""
+    if nvars == 1:
+        return [(degree,)]
+    return [(degree - k,) + tail for k in range(degree + 1) for tail in _monomials(nvars - 1, k)]
 
 
-def _macaulay_solutions(forms: Sequence[Polynomial], solve: bool = True) -> Optional[list]:
+def _macaulay_shape(nvars: int, d: int) -> tuple[int, int]:
+    """Rows and columns of the Macaulay matrix of ``_macaulay_solutions``."""
+    top = nvars * (d - 1) + 1
+    return math.comb(top + nvars - 1, top), nvars * math.comb(top - d + nvars - 1, top - d)
+
+
+def _macaulay_solutions(forms: Sequence[Polynomial], modulus: int = 0) -> Optional[list]:
     """Coefficients of U_ij of degree D - d with sum_j U_ij*F_j = x_i^D, one
-    list per i (U_i0, U_i1, ..., each by ``_monomials``; [] if not solving),
-    for integer forms F_j of degree d >= 1 on P^n, D = (n+1)(d-1) + 1.  None
-    exactly when the forms share a zero over the algebraic numbers, so that
-    some x_i^D is not in the span (Macaulay); on P^1 this is the Sylvester
-    matrix.  Past ``_MACAULAY_LIMIT`` entries it raises BoundTooLarge."""
+    list per i (U_i0, U_i1, ..., each by ``_monomials``), for integer forms
+    F_j of degree d >= 1 on P^n, D = (n+1)(d-1) + 1.  None exactly when the
+    forms share a zero over the algebraic numbers, so that some x_i^D is not
+    in the span (Macaulay); on P^1 this is the Sylvester matrix.
+
+    With a prime modulus it eliminates the forms mod p and returns [] or
+    None.  [] proves that they share no zero: one over the algebraic numbers
+    makes the resultant 0, and so the forms mod p would share one too.  None
+    may also mean that p divides the resultant."""
     nvars, d = len(forms), forms[0].total_degree()
     top = nvars * (d - 1) + 1
     row_of = {e: k for k, e in enumerate(_monomials(nvars, top))}
     shifts = _monomials(nvars, top - d)
     ncols = nvars * len(shifts)
-    if len(row_of) * ncols > _MACAULAY_LIMIT:
-        raise BoundTooLargeError(f"its Macaulay matrix is {len(row_of)} x {ncols}, "
-                                 f"past the limit of {_MACAULAY_LIMIT} entries")
     # Row k: the k-th monomial of degree D in each product u*F_j, then in each x_i^D.
     rows = [[0] * (ncols + nvars) for _ in row_of]
     for j, form in enumerate(forms):
         for s, u in enumerate(shifts, j * len(shifts)):
             for exps, c in form.terms:
-                rows[row_of[tuple(map(add, u, exps))]][s] = c.numerator
+                c = c.numerator % modulus if modulus else c.numerator
+                rows[row_of[tuple(map(add, u, exps))]][s] = c
     for i in range(nvars):
         rows[row_of[(0,) * i + (top,) + (0,) * (nvars - 1 - i)]][ncols + i] = 1
-    if any(any(row[ncols:]) and not any(row[:ncols]) for row in rows):
-        return None  # no product u*F_j holds some x_i^D: the forms vanish at e_i
-    # Elimination on integer rows, each divided by its content after every
-    # step, with the smallest entry of a column as its pivot: below it only,
-    # or above it too (Gauss-Jordan) when solving.  A free unknown is 0.
+    # Gauss-Jordan on integer rows, each divided by its content after every
+    # step, with the smallest entry of a column as its pivot.  Mod p only the
+    # rows below a pivot are reduced.  A free unknown is 0.
     pivots = []
     for col in range(ncols):
         r = len(pivots)
@@ -523,16 +534,19 @@ def _macaulay_solutions(forms: Sequence[Polynomial], solve: bool = True) -> Opti
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         p = rows[r][col]
-        for k in range(0 if solve else r + 1, len(rows)):
+        for k in range(r + 1 if modulus else 0, len(rows)):
             c = rows[k][col]
             if c and k != r:
                 row = [p * v - c * t for v, t in zip(rows[k], rows[r])]
-                content = math.gcd(*row) or 1  # the row may vanish
-                rows[k] = [v // content for v in row]
+                if modulus:
+                    rows[k] = [v % modulus for v in row]
+                else:
+                    content = math.gcd(*row) or 1  # the row may vanish
+                    rows[k] = [v // content for v in row]
         pivots.append(col)
     if any(any(row[ncols:]) for row in rows[len(pivots):]):
         return None
-    solutions = [[0] * ncols for _ in forms] if solve else []
+    solutions = [] if modulus else [[0] * ncols for _ in forms]
     for row, col in zip(rows, pivots):
         for i, solution in enumerate(solutions):
             solution[col] = Fraction(row[ncols + i], row[col])
@@ -586,11 +600,18 @@ class ProjHomogMap(_MapKind):
         elif any(not f.has_integer_coefficients() for f in forms):
             yield "NonIntegerForm", "forms need integer coefficients"
         elif degrees != {0}:  # nonzero constants share no zero
-            try:
-                if _macaulay_solutions(forms, solve=False) is None:
-                    yield "CommonZero", "the forms share a zero over the algebraic numbers"
-            except BoundTooLargeError as exc:
-                yield "BoundTooLarge", str(exc)
+            nrows, ncols = _macaulay_shape(len(forms), *degrees)
+            bits = max(c.numerator.bit_length() for f in forms for _, c in f.terms)
+            if nrows * ncols > _MACAULAY_LIMIT:
+                yield "BoundTooLarge", (f"its Macaulay matrix is {nrows} x {ncols}, "
+                                        f"past the limit of {_MACAULAY_LIMIT} entries")
+            elif _macaulay_solutions(forms, _MACAULAY_PRIME) is not None:
+                pass  # no common zero mod p, so none over the algebraic numbers
+            elif nrows**2 * ncols * bits > _MACAULAY_EXACT_LIMIT:
+                yield "BoundTooLarge", (f"its Macaulay matrix is {nrows} x {ncols} with {bits}-bit "
+                                        "entries, past the limit for an exact solve")
+            elif _macaulay_solutions(forms) is None:
+                yield "CommonZero", "the forms share a zero over the algebraic numbers"
 
 
 @dataclass(frozen=True)
@@ -657,6 +678,8 @@ def apply(map_: SimilarityMap, point: SpacePoint) -> SpacePoint:
 
 def _rational_roots(value: Fraction, degree: int) -> tuple:
     """Every rational degree-th root of a rational, the positive one last."""
+    if degree == 1:
+        return (value,)
     num, den = abs(value.numerator), value.denominator
     top, bottom = _floor_root(num, degree), _floor_root(den, degree)
     if top**degree != num or bottom**degree != den or value < 0 and degree % 2 == 0:
@@ -687,9 +710,9 @@ def preimage(map_: SimilarityMap, point: SpacePoint) -> Optional[SpacePoint]:
     """The lattice-exact preimage when the map kind supports one, else None.
 
     Affine integer and Gaussian maps invert by exact division; diagonal
-    monomial tuples of exponents >= 2 invert coordinatewise (positive root
-    for even degrees).  Other kinds raise UnsupportedMapKind: membership for
-    them falls back to enumeration.
+    monomial tuples invert coordinatewise (positive root for even degrees).
+    Other kinds raise UnsupportedMapKind: membership for them falls back to
+    enumeration.
     """
     space = _map_space(map_, point)
     parents = map_.preimage_fn()(space.payload(point))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -36,7 +37,6 @@ from arithfractal.errors import (
     BoundTooLargeError,
     ConfigError,
     UndecidedError,
-    UnsupportedMapKindError,
     UnsupportedSpaceError,
     ZeroProjectivePointError,
 )
@@ -324,54 +324,79 @@ def test_member_through_negative_parent():
     assert is_member(system, AffPoint((Fraction(3),))).path == (0, 1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 2).flatmap(lambda n: st.tuples(
+def _diagonal_systems(coeffs, top):
+    """Systems of 1 to 3 maps (c_1*x1^e_1, ...) on A^1 or A^2, c_i drawn from
+    coeffs and e_i from {2, 3}, with 1 to 3 seeds of coordinates a/b,
+    |a| <= top and 1 <= b <= top."""
+    coords = st.builds(Fraction, st.integers(-top, top), st.integers(1, top))
+    return st.integers(1, 2).flatmap(lambda n: st.builds(
+        lambda maps, seeds: FractalSystem(
+            "affq",
+            tuple(diagonal_map(*terms) for terms in maps),
+            tuple(AffPoint(tuple(seed)) for seed in seeds),
+            "random",
+        ),
         st.lists(
-            st.lists(
-                st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3)),
-                min_size=n, max_size=n,
-            ),
+            st.lists(st.tuples(st.sampled_from(coeffs), st.integers(2, 3)), min_size=n, max_size=n),
             min_size=1, max_size=3,
         ),
-        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=3),
+        st.lists(st.lists(coords, min_size=n, max_size=n), min_size=1, max_size=3),
     ))
-)
-def test_member_agrees_with_bag_for_random_diagonal_systems(maps_and_seeds):
-    # Integer seeds and coefficients keep every orbit point an integer tuple
-    # whose height never drops under a map, so the bag at a bound holds every
-    # member up to that bound.  A component of exponent 1 sends membership to
-    # the enumeration fallback, which gives no certificate.
-    maps, seeds = maps_and_seeds
-    system = FractalSystem(
-        "affq",
-        tuple(diagonal_map(*terms) for terms in maps),
-        tuple(AffPoint(tuple(Fraction(c) for c in seed)) for seed in seeds),
-        "random",
-    )
-    assume(not validate_system(system))  # x -> x and (2x1, 3x2) do not expand
-    linear = any(e == 1 for terms in maps for _, e in terms)
-    radius = 40 if len(seeds[0]) == 1 else 6
-    bag = enumerate_system(system, radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagonal_systems([-3, -2, -1, 1, 2, 3], 3))
+def test_member_agrees_with_bag_for_random_diagonal_systems(system):
+    # Under x_i -> c*x_i^e with 1 <= |c| <= 3 and e >= 2 no local factor
+    # max(1, |x_i|_v) of the height H(1 : x) falls, so no orbit point's height
+    # drops under a map, even from rational seeds: the bag at a bound holds
+    # every member up to that bound.  Exponents of at least 2 keep the descent
+    # finite: the parents of x under c*x must be divided by c without end.
+    n = len(system.seeds[0].coords)
+    radius = 40 if n == 1 else 6
+    size = SPACES["affq"].size
+    bag = enumerate_system(system, max(radius, *(size(s.coords) for s in system.seeds)))
     members = {e.point for e in bag.entries}
-    box = itertools.product(range(-radius, radius + 1), repeat=len(seeds[0]))
-    for coords in box:
-        point = AffPoint(tuple(Fraction(c) for c in coords))
+    side = {Fraction(a, b) for a in range(-radius, radius + 1) for b in (1, 2, 3)}
+    for coords in itertools.product(sorted(side), repeat=n):
+        if size(coords) > radius:
+            continue
+        point = AffPoint(coords)
         result = is_member(system, point)
         assert result.member == (point in members)
-        assert linear or not result.via_fallback
-        if result.member and not result.via_fallback:
+        if result.member:
             assert replay_certificate(system, result) == point
 
 
-def test_linear_affq_membership_ends_by_enumeration():
-    # The parents of 5 under x -> -3x are -5/3, 5/9, ...: a descent would not
-    # end, and enumerating up to the query's height finds only the seed.
-    system = FractalSystem("affq", (diagonal_map((-3, 1)),), (AffPoint((Fraction(0),)),), "neg3")
-    with pytest.raises(UnsupportedMapKindError):
-        system.maps[0].preimage_fn()
-    assert is_member(system, AffPoint((Fraction(5),))) == (False, None, (), True)
-    assert is_member(system, AffPoint((Fraction(0),))).member
+@settings(max_examples=60, deadline=None)
+@given(_diagonal_systems([-16, -1, 1, 16, Fraction(1, 16), Fraction(-1, 4)], 2))
+def test_images_of_members_are_members_where_heights_drop(system):
+    # Heights can drop here: 16*(1/4)^2 = 1.  From the seed 1/2, the member 1
+    # is reached only through 1/4, so no bag up to the heights of the query
+    # and the seeds holds it.  The descent still certifies every image.
+    size = SPACES["affq"].size
+    bag = enumerate_system(system, max(256, *(size(s.coords) for s in system.seeds)))
+    for entry in bag.entries:
+        for map_ in system.maps:
+            image = apply(map_, entry.point)
+            result = is_member(system, image)
+            assert result.member and replay_certificate(system, result) == image
+
+
+def test_member_whose_certificate_passes_above_the_query():
+    # Under g = (x1^2, 4*x2) the height of (1, 1/4) drops from 4 to that of
+    # (1, 1).  The only path from the seed (1, 1/2) to (1, 1) runs through
+    # (1, 1/4), so no bag up to the query's height holds (1, 1), while the
+    # descent finds the certificate.
+    f, g = diagonal_map((1, 2), (1, 2)), diagonal_map((1, 2), (4, 1))
+    seed = AffPoint((Fraction(1), Fraction(1, 2)))
+    system = FractalSystem("affq", (f, g), (seed,), "drop")
+    assert validate_system(system) == []
+    target = AffPoint((Fraction(1), Fraction(1)))
+    assert not enumerate_system(system, 2).has_payload(target.coords)
+    result = is_member(system, target)
+    assert result == (True, seed, (0, 1), False)
+    assert replay_certificate(system, result) == target
 
 
 def test_member_fallback_for_projective(p1_doubling):
@@ -758,18 +783,57 @@ def test_p2_source_bound_against_brute_force(forms, bound):
             assert max(map(abs, q)) <= cutoff, (q, image(q))
 
 
+def _diagonal(degree, nvars):
+    return tuple(Polynomial(nvars, [(tuple(degree * (j == i) for j in range(nvars)), 1)])
+                 for i in range(nvars))
+
+
 def test_macaulay_matrix_past_the_limit_is_bound_too_large():
-    # (x^d : y^d) has a 2d x 2d matrix; the largest d under the limit validates.
-    d = math.isqrt(spaces._MACAULAY_LIMIT) // 2
-    for degree, codes in ((d, []), (d + 1, ["BoundTooLarge"])):
-        forms = (Polynomial(2, [((degree, 0), 1)]), Polynomial(2, [((0, degree), 1)]))
-        system = FractalSystem("projq", (ProjHomogMap(forms),), (ProjPoint((1, 1)),))
-        assert [v.code for v in validate_system(system)] == codes
-    side = 2 * d + 2
+    # Every P^1 map the parser admits fits: (x^64 : y^64) has a 128 x 128
+    # matrix.  (x^6 : y^6 : z^6) on P^2 has a 153 x 198 one.
+    assert spaces._MACAULAY_LIMIT == 128 * 128
+    assert _codes(_diagonal(64, 2)) == []
+    system = FractalSystem("projq", (ProjHomogMap(_diagonal(6, 3)),), (ProjPoint((1, 1, 1)),))
+    assert [v.code for v in validate_system(system)] == ["BoundTooLarge"]
     message = (f"^system fails validation: BoundTooLarge at map 0: its Macaulay matrix is "
-               f"{side} x {side}, past the limit of {spaces._MACAULAY_LIMIT} entries$")
+               f"153 x 198, past the limit of {spaces._MACAULAY_LIMIT} entries$")
     with pytest.raises(ConfigError, match=message):
         enumerate_system(system, 10)
+
+
+def test_exact_solve_past_its_limit_is_bound_too_large():
+    # (c*x1^3 : x1^2*x2 : x1*x3^2) vanish on x1 = 0, so the elimination mod p
+    # fails and the exact one decides.  Its 36 x 45 matrix costs 36^2 * 45
+    # times the bits of c, which passes the limit from c = 2^171 on.
+    per_bit = 36 * 36 * 45
+    assert spaces._MACAULAY_EXACT_LIMIT // per_bit == 171
+    for c, codes in ((2**170, ["CommonZero"]), (2**171, ["BoundTooLarge"])):
+        forms = (Polynomial(3, [((3, 0, 0), c)]), Polynomial(3, [((2, 1, 0), 1)]),
+                 Polynomial(3, [((1, 0, 2), 1)]))
+        assert _codes(forms) == codes
+    (message,) = [m for _, m in ProjHomogMap(forms).problems(None)]
+    assert message == ("its Macaulay matrix is 36 x 45 with 172-bit entries, "
+                       "past the limit for an exact solve")
+
+
+def test_elimination_mod_p_decides_whatever_the_coefficients():
+    # Random P^1 pairs of degree 64 with 4096-bit coefficients validate by
+    # the elimination mod p alone; their exact solve would take minutes.
+    rng = random.Random(7)
+    for _ in range(2):
+        forms = tuple(Polynomial(2, [((64 - k, k), rng.getrandbits(4096) - 2**4095)
+                                     for k in range(65)]) for _ in range(2))
+        assert _codes(forms) == []
+
+
+def test_valid_map_whose_resultant_the_prime_divides():
+    # Res(x^2, p*y^2 + x*y) = p^2: mod p both forms vanish at (0:1), so the
+    # exact solve decides, and the map is valid.
+    p = spaces._MACAULAY_PRIME
+    forms = (Polynomial(2, [((2, 0), 1)]), Polynomial(2, [((0, 2), p), ((1, 1), 1)]))
+    assert spaces._macaulay_solutions(forms, p) is None
+    assert _codes(forms) == []
+    assert _codes((forms[0], Polynomial(2, [((1, 1), 1)]))) == ["CommonZero"]
 
 
 def brute_ambient_audit(system, window):

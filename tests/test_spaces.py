@@ -272,7 +272,7 @@ _VIOLATIONS = {
         _proj(_poly(3, (1, 1, 1, 0)), _poly(3, (1, 1, 0, 1)), _poly(3, (1, 0, 1, 1)),
               seed=ProjPoint((1, 1, 1))),
         [("CommonZero", "map", 0)]),
-    "BoundTooLarge": (_proj(_poly(3, (1, 5, 0, 0)), _poly(3, (1, 0, 5, 0)), _poly(3, (1, 0, 0, 5)),
+    "BoundTooLarge": (_proj(_poly(3, (1, 6, 0, 0)), _poly(3, (1, 0, 6, 0)), _poly(3, (1, 0, 0, 6)),
                             seed=ProjPoint((1, 1, 1))),
                       [("BoundTooLarge", "map", 0)]),
     "BadArity-poly": (_affq(_poly(2, (1, 2, 0))), [("BadArity", "map", 0)]),
