@@ -3,13 +3,13 @@ exactness audits of the fractal equation, and curve-intersection probes.
 
 The enumerator is a breadth-first closure of the seeds under the system's
 maps, pruning every image whose size exceeds the bound.  Internally it
-works on light payloads (ints, integer tuples, Fraction tuples) rather
-than wrapper objects, so bags of a few million points stay affordable;
-the rich point objects are materialized lazily.  The closure always
-terminates, whatever the maps: every space holds finitely many points of
-size at most the bound (Northcott), the enumerator keeps only those, and
-the visited set makes revisits impossible, so it expands each such point
-at most once.
+works on light payloads (ints, integer tuples, ECPoints) rather than
+wrapper objects, so bags of a few million points stay affordable; the
+point objects, whose order every output keeps, are made lazily.  The
+closure always terminates, whatever the maps: every space holds finitely
+many points of size at most the bound (Northcott), the enumerator keeps
+only those, and the visited set makes revisits impossible, so it expands
+each such point at most once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import gc
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -58,13 +59,13 @@ class PointBag:
     coordinate order), so a bag at a smaller bound is a prefix of the bag
     at a larger one.  Until ``entries`` is first read the bag holds one
     ``(size, payload, depth)`` record per point, in discovery order.
-    ``entries`` sorts those records in their natural tuple order (size
-    first, then payload; payloads are distinct) and replaces each one by
-    its ``BagEntry`` in the same list, so the bag never holds a record and
-    an entry for one point; consecutive entries of equal size share one
-    ``SizeValue``.  ``len``, ``points``, ``raw_sizes``, ``log_sizes`` and
-    ``has_payload`` read either form, so listing, counting and membership
-    never pay for materialization.
+    ``entries`` wraps each payload as its point, sorts the records in their
+    natural tuple order (size first, then point; points are distinct) and
+    replaces each one by its ``BagEntry`` in the same list, so the bag
+    never holds a record and an entry for one point; consecutive entries of
+    equal size share one ``SizeValue``.  ``len``, ``points``,
+    ``raw_sizes``, ``log_sizes`` and ``has_payload`` read either form, so
+    listing, counting and membership never pay for materialization.
     """
 
     def __init__(self, label, space, bound, size_kind, records, to_point, truncated):
@@ -90,12 +91,14 @@ class PointBag:
             last = size_value = None
             gc.disable()
             try:
-                items.sort()
                 for i, (s, p, d) in enumerate(items):
+                    items[i] = (s, to_point(p), d)
+                items.sort()
+                for i, (s, point, d) in enumerate(items):
                     if s != last:
                         last = s
                         size_value = SizeValue(s, log(s) if s > 1 else 0.0)
-                    items[i] = BagEntry(to_point(p), size_value, d)
+                    items[i] = BagEntry(point, size_value, d)
                 self._materialized = True
             finally:
                 gc.enable()
@@ -104,7 +107,15 @@ class PointBag:
     def points(self) -> list[SpacePoint]:
         if self._materialized:
             return [e.point for e in self._items]
-        return [self._to_point(r[1]) for r in sorted(self._items)]
+        records = sorted(self._items)
+        points = [self._to_point(r[1]) for r in records]
+        # Within one size, payload order is point order except on affq.
+        pairs = zip(records, islice(records, 1, None), points, islice(points, 1, None))
+        if any(r[0] == s[0] and p > q for r, s, p, q in pairs):
+            points = []
+            for _, run in groupby(records, itemgetter(0)):  # runs of one size
+                points.extend(sorted([self._to_point(r[1]) for r in run]))
+        return points
 
     def raw_sizes(self) -> list[int]:
         """Sizes in nondecreasing order (a linear read once entries exist)."""
@@ -155,8 +166,7 @@ def _raw_orbit(
     counts: Optional[dict] = None,
 ) -> tuple[list, bool]:
     """BFS closure on payloads; records are (size, payload, depth) in
-    discovery order, size first so that their natural tuple order is the
-    bag's (size, coordinate) order.
+    discovery order, size first as in the bag's (size, point) order.
 
     When a ``counts`` dict is supplied, every repeat hit is tallied there:
     an in-bound image that is already a seed or already discovered.  A
@@ -182,7 +192,7 @@ def _raw_orbit(
         # Intra-generation order only matters when a truncation cut could
         # land in this generation; the final sort fixes the order otherwise.
         if len(records) + map_count * len(frontier) >= max_points:
-            frontier.sort()
+            frontier.sort(key=space.to_point)
         next_frontier = []
         seen_add = seen.add
         rec_append = records.append
@@ -261,8 +271,9 @@ def is_member(
 
     Uses backward descent through exact preimages when every map supports
     one.  Otherwise the decision falls back to an enumerated bag whose
-    bound must cover the queried point (flagged in the result); a point
-    missing from a truncated bag raises UndecidedError.
+    bound must cover the queried point (flagged in the result), and on a
+    miss the maps' escape heights too.  A point missing from a truncated
+    bag, or with a map that has no escape height, raises UndecidedError.
     """
     if depth_limit < 1:
         raise ConfigError(f"depth_limit must be at least 1, got {depth_limit}")
@@ -274,15 +285,21 @@ def is_member(
         return _descend(system, space, payload, depth_limit)
     except UnsupportedMapKindError:
         bag = fallback_bag
-        size = space.size(payload)
-        if bag is None or bag.bound < size:
-            seed_sizes = [space.size(space.payload(s)) for s in system.seeds]
-            bag = enumerate_system(system, max([size, 1] + seed_sizes))
+        sizes = [space.size(payload), 1] + [space.size(space.payload(s)) for s in system.seeds]
+        if bag is None or bag.bound < sizes[0]:
+            bag = enumerate_system(system, max(sizes))
         member = bag.has_payload(payload)
-        if not member and bag.truncated:
+        # Above its escape height a map raises sizes, so no path from a seed
+        # to the query passes the largest of these sizes and escape heights.
+        caps = [] if member or bag.truncated else [m._escape_height() for m in system.maps]
+        if caps and None not in caps and max(sizes + caps) > bag.bound:
+            bag = enumerate_system(system, max(sizes + caps))
+            member = bag.has_payload(payload)
+        if not member and (bag.truncated or None in caps):
+            why = "truncated below" if bag.truncated else "with a map of no escape height, up to"
             raise UndecidedError(
                 f"{space.to_point(payload)} is not among the {len(bag)} points of "
-                f"a bag truncated below bound {bag.bound}"
+                f"a bag {why} bound {bag.bound}"
             )
         return MembershipResult(member, None, (), True)
 
@@ -418,7 +435,8 @@ def audit_exactness(
         seeds_hit = sum(1 for s in seed_payloads if s in counts)
         covered_count = total_points - len(seed_payloads) + seeds_hit
         overlap_payloads = sorted(
-            p for p, c in counts.items() if c >= 2 or p not in seed_payloads
+            (p for p, c in counts.items() if c >= 2 or p not in seed_payloads),
+            key=space.to_point,
         )
         uncovered_count = 0
         uncovered_payloads: list = []
@@ -444,7 +462,7 @@ def audit_exactness(
                 if size(p) <= bound_int:
                     counts[p] = counts.get(p, 0) + 1
         covered_count = len(counts)
-        overlap_payloads = sorted(p for p, c in counts.items() if c >= 2)
+        overlap_payloads = sorted((p for p, c in counts.items() if c >= 2), key=space.to_point)
         uncovered_count = total_points - covered_count
         uncovered_payloads = heapq.nsmallest(
             max_listed, (p for p in space.window(bound_int, seeds) if p not in counts)

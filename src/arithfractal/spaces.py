@@ -11,12 +11,12 @@ one positive) so that set membership is well defined.
 
 Each space is built once, as one ``Space`` entry of ``SPACES``.  Inside
 the library a point travels as a light payload: an int, an (re, im) pair,
-a tuple of Fractions, a canonical tuple of integers, or the ECPoint
-itself.  The entry converts payloads to and from the wrapper point
-classes, puts a payload in canonical form, gives its exact size and the
-kind of that size, reads its JSON value and its command-line literal and
-writes its JSON value, and streams the ambient window of the exactness
-audit.  A window is a lazy iterable, made afresh on each call: ``range`` on
+a canonical tuple of integers (on affq that of the point (1 : x) of P^n),
+or the ECPoint itself.  The entry converts payloads to and from the
+wrapper point classes, puts a payload in canonical form, gives its exact
+size and the kind of that size, reads its JSON value and its command-line
+literal and writes its JSON value, and streams the ambient window of the
+exactness audit.  A window is a lazy iterable, made afresh on each call: ``range`` on
 Z, rows of a disc on Z[i], and (0:1), (1:0), then (a:b), (a:-b) by rising
 a and b on P^1.  The window at a smaller bound lists exactly the points of
 that size, in the same relative order.  ``point_space`` is the one lookup
@@ -30,6 +30,7 @@ the faults of its record and its JSON record; ``source_bound`` caps the size
 of a point that the map can send into an ambient window.  A map expands when
 its weight exceeds 1, one rule for every kind.  On every P^n ``problems`` is
 exact: the forms share no zero exactly when their Macaulay system solves.
+A polynomial tuple on A^n compiles to integer forms on P^n and shares that code.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from fractions import Fraction
 from operator import add, attrgetter
 from pathlib import Path
@@ -130,12 +132,15 @@ def _proj_canonical(coords: tuple) -> tuple:
     return reduced
 
 
-def affine_height_raw(coords: Sequence[Fraction]) -> int:
-    """H(1 : x1 : ... : xn) computed exactly by lcm clearing."""
-    lcm = math.lcm(*(c.denominator for c in coords))
-    cleared = [lcm] + [int(c * lcm) for c in coords]
-    g = math.gcd(*(abs(v) for v in cleared))
-    return max(abs(v) // g for v in cleared)
+def _max_abs(coords: tuple) -> int:
+    return max(abs(c) for c in coords)
+
+
+def _affine_tuple(coords: Sequence) -> tuple:
+    """The rationals x (ints or Fractions) as the canonical tuple (den :
+    num_1 : ...) of (1 : x): den, the lcm of their denominators, leads."""
+    den = math.lcm(*(c.denominator for c in coords))
+    return (den,) + tuple(c.numerator * (den // c.denominator) for c in coords)
 
 
 def _ec_size(point: ECPoint) -> int:
@@ -195,7 +200,7 @@ def _ec_to_json(point: ECPoint):
 
 
 def _rationals(value) -> tuple:
-    return tuple(parse_rational(c) for c in _json_list(value))
+    return _affine_tuple([parse_rational(c) for c in _json_list(value)])
 
 
 def _ints(value) -> tuple:
@@ -249,13 +254,13 @@ SPACES = {
         Space("gauss", GaussPoint, lambda p: GaussPoint(*p), tuple, _identity,
               gauss_norm, "norm", _parse_gauss, _gauss_to_json, _parse_gauss_literal,
               window=_gauss_window),
-        Space("affq", AffPoint, AffPoint, attrgetter("coords"),
-              lambda coords: tuple(Fraction(c) for c in coords), affine_height_raw,
-              "height", _rationals, lambda coords: [format_rational(c) for c in coords],
+        Space("affq", AffPoint, lambda t: AffPoint(tuple(Fraction(c, t[0]) for c in t[1:])),
+              lambda p: _affine_tuple([Fraction(c) for c in p.coords]), _proj_canonical,
+              _max_abs, "height", _rationals,
+              lambda t: [format_rational(Fraction(c, t[0])) for c in t[1:]],
               lambda t: _rationals(t.strip("()").split(",")), tuples=True),
         Space("projq", ProjPoint, ProjPoint, attrgetter("coords"), _proj_canonical,
-              lambda coords: max(abs(c) for c in coords), "height", _ints,
-              lambda coords: [str(c) for c in coords],
+              _max_abs, "height", _ints, lambda coords: [str(c) for c in coords],
               lambda t: _ints(t.strip("()").split(":")), tuples=True, window=_proj_window),
         Space("ec", ECPoint, _identity, _identity, _identity, _ec_size, "height",
               _ec_from_json, _ec_to_json,
@@ -278,8 +283,8 @@ def canonicalize(point: SpacePoint) -> SpacePoint:
     """Canonical form; idempotent on every variant.
 
     Projective tuples are divided by the gcd of their coordinates and the
-    first nonzero coordinate is made positive.  Rationals are normalized by
-    Fraction itself.
+    first nonzero coordinate is made positive.  Affine points pass through
+    the canonical tuple of the projective point (1 : x).
     """
     space = point_space(point)
     return space.to_point(space.canonical(space.payload(point)))
@@ -314,6 +319,10 @@ class _MapKind:
     def problems(self, curve) -> tuple:
         """(code, message) for each fault of the record; none by default."""
         return ()
+
+    def _escape_height(self) -> Optional[int]:
+        """A size above which the map raises sizes; None when none is known."""
+        return None
 
     def preimage_fn(self) -> Callable:
         """A closure from a payload to the tuple of all its parents."""
@@ -424,14 +433,29 @@ class PolyTupleMap(_MapKind):
     def degree(self) -> int:
         return max(c.total_degree() for c in self.components)
 
+    @cached_property  # ``apply`` compiles the map on every call
+    def _forms(self) -> tuple[Polynomial, ...]:
+        """The map on the chart x_0 != 0 of P^n as integer forms of its degree
+        d: (L*x_0^d : L*x_0^d*F_1(x/x_0) : ...), L the lcm of the coefficient
+        denominators.  L*x_0^d > 0 on payloads, so images stay in the chart."""
+        d, n = self.degree(), self.nvars()
+        lcm = math.lcm(*(c.denominator for f in self.components for _, c in f.terms))
+        lead = Polynomial(n + 1, [((d,) + (0,) * n, lcm)])
+        return (lead,) + tuple(
+            Polynomial(n + 1, [((d - sum(e),) + e, lcm * c) for e, c in f.terms])
+            for f in self.components
+        )
+
     def image_fn(self) -> Callable:
-        comps = self.components
-        return lambda coords: tuple(c.evaluate(coords) for c in comps)
+        return _forms_image(self._forms)
+
+    def _escape_height(self) -> Optional[int]:
+        return ProjHomogMap(self._forms)._escape_height()
 
     def preimage_fn(self) -> Callable:
         """Coordinatewise roots when each component is a single monomial
-        c*x_i^e in its own variable; every sign of an even root gives a
-        parent, and the all-positive parent comes last."""
+        c*x_i^e in its own variable, x_i read as num_i / den; every sign of
+        an even root gives a parent, and the all-positive parent comes last."""
         diag = []
         for i, comp in enumerate(self.components):
             exps, coeff = comp.terms[0] if comp.is_monomial() else ((), 0)
@@ -439,17 +463,18 @@ class PolyTupleMap(_MapKind):
                 raise UnsupportedMapKindError(
                     "preimage supports only coordinatewise monomial tuples"
                 )
-            diag.append((coeff, exps[i]))
+            diag.append((coeff.denominator, coeff.numerator, exps[i]))
 
         def preimage(coords):
-            if len(coords) != len(diag):
+            if len(coords) != len(diag) + 1:
                 return ()
             roots = []
-            for (coeff, exponent), value in zip(diag, coords):
-                roots.append(_rational_roots(value / coeff, exponent))
+            for (num_scale, den_scale, exponent), num in zip(diag, coords[1:]):
+                value = Fraction(num * num_scale, coords[0] * den_scale)  # x_i / c
+                roots.append(_rational_roots(value, exponent))
                 if not roots[-1]:
                     return ()
-            return tuple(itertools.product(*roots))
+            return tuple(map(_affine_tuple, itertools.product(*roots)))
 
         return preimage
 
@@ -477,8 +502,9 @@ class PolyTupleMap(_MapKind):
 # map on P^1 that the parser admits (degree 64, 128 x 128), and on P^2 up to
 # degree 5, on P^3 up to degree 2.  Its elimination mod _MACAULAY_PRIME takes
 # at most 0.3 s on a shared 2-vCPU VM, whatever the coefficients.  The exact
-# elimination runs only where that one fails; its cost grows like rows^2 *
-# columns * coefficient bits, which _MACAULAY_EXACT_LIMIT caps at about 1 s.
+# elimination runs where that one fails and for escape heights; its cost grows
+# like rows^2 * columns * coefficient bits, which _MACAULAY_EXACT_LIMIT caps
+# at about 1 s.
 _MACAULAY_LIMIT = 128 * 128
 _MACAULAY_PRIME = 2**61 - 1
 _MACAULAY_EXACT_LIMIT = 10**7
@@ -491,10 +517,12 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return [(degree - k,) + tail for k in range(degree + 1) for tail in _monomials(nvars - 1, k)]
 
 
-def _macaulay_shape(nvars: int, d: int) -> tuple[int, int]:
-    """Rows and columns of the Macaulay matrix of ``_macaulay_solutions``."""
+def _macaulay_shape(forms: Sequence[Polynomial]) -> tuple[int, int, int]:
+    """Rows, columns and entry bits of the matrix of ``_macaulay_solutions``."""
+    nvars, d = len(forms), forms[0].total_degree()
     top = nvars * (d - 1) + 1
-    return math.comb(top + nvars - 1, top), nvars * math.comb(top - d + nvars - 1, top - d)
+    bits = max(c.numerator.bit_length() for f in forms for _, c in f.terms)
+    return math.comb(top + nvars - 1, top), nvars * math.comb(top - d + nvars - 1, top - d), bits
 
 
 def _macaulay_solutions(forms: Sequence[Polynomial], modulus: int = 0) -> Optional[list]:
@@ -553,6 +581,25 @@ def _macaulay_solutions(forms: Sequence[Polynomial], modulus: int = 0) -> Option
     return solutions
 
 
+def _height_loss(forms: Sequence[Polynomial]) -> Optional[int]:
+    """K*D' in H(f(q)) >= H(q)^d / (K*D'), which holds on every P^n for the
+    U_ij of ``_macaulay_solutions``; None when the forms share a zero.  K is
+    the largest l1 norm sum_j ||U_ij|| over i, so max_j |F_j(q)| >= H(q)^d / K;
+    D' is the lcm of their denominators, so for a primitive q the gcd of the
+    F_j(q) divides D' (Call-Silverman)."""
+    solutions = _macaulay_solutions(forms)
+    if solutions is None:
+        return None
+    lcm = math.lcm(*(c.denominator for solution in solutions for c in solution))
+    return max(sum(abs(c.numerator) * (lcm // c.denominator) for c in solution)
+               for solution in solutions)
+
+
+def _forms_image(forms: Sequence[Polynomial]) -> Callable:
+    """Integer forms as an image closure on canonical integer tuples."""
+    return lambda coords: _proj_canonical(tuple(f.evaluate_int(coords) for f in forms))
+
+
 @dataclass(frozen=True)
 class ProjHomogMap(_MapKind):
     """n+1 homogeneous integer forms of a common degree acting on P^n."""
@@ -570,23 +617,29 @@ class ProjHomogMap(_MapKind):
         return self.forms[0].total_degree()
 
     def image_fn(self) -> Callable:
-        forms = self.forms
-        return lambda coords: _proj_canonical(tuple(f.evaluate_int(coords) for f in forms))
+        return _forms_image(self.forms)
 
     def weight(self, convention: str) -> float:
         return float(self.degree())
 
     def source_bound(self, bound: int) -> int:
-        """Northcott on every P^n: H(f(q)) >= H(q)^d / (K*D'), so
-        H(q) <= (K*D'*bound)^(1/d), for the U_ij of ``_macaulay_solutions``.
-        K is the largest l1 norm sum_j ||U_ij|| over i, so max_j |F_j(q)| >=
-        H(q)^d / K; D' is the lcm of their denominators, so for a primitive
-        q the gcd of the F_j(q) divides D' (Call-Silverman).  Defined for
-        maps that pass validation."""
-        solutions = _macaulay_solutions(self.forms)
-        norm = max(sum(map(abs, solution)) for solution in solutions)
-        lcm = math.lcm(*(c.denominator for solution in solutions for c in solution))
-        return _floor_root(math.floor(norm * lcm * bound), self.degree())
+        """Northcott on every P^n: H(f(q)) <= bound forces H(q) <=
+        (K*D'*bound)^(1/d), with K*D' from ``_height_loss``.  Defined for maps
+        that pass validation."""
+        return _floor_root(_height_loss(self.forms) * bound, self.degree())
+
+    def _escape_height(self) -> Optional[int]:
+        """C = ceil((K*D')^(1/(d-1))): H(q) > C gives H(f(q)) >= H(q)^d / (K*D')
+        > H(q).  None for degree 1, forms that share a zero, or an exact solve
+        past its limit."""
+        d = self.degree()
+        if d < 2:
+            return None
+        nrows, ncols, bits = _macaulay_shape(self.forms)
+        if nrows**2 * ncols * bits > _MACAULAY_EXACT_LIMIT:
+            return None
+        loss = _height_loss(self.forms)
+        return None if loss is None else _floor_root(loss - 1, d - 1) + 1
 
     def problems(self, curve):
         forms = self.forms
@@ -600,8 +653,7 @@ class ProjHomogMap(_MapKind):
         elif any(not f.has_integer_coefficients() for f in forms):
             yield "NonIntegerForm", "forms need integer coefficients"
         elif degrees != {0}:  # nonzero constants share no zero
-            nrows, ncols = _macaulay_shape(len(forms), *degrees)
-            bits = max(c.numerator.bit_length() for f in forms for _, c in f.terms)
+            nrows, ncols, bits = _macaulay_shape(forms)
             if nrows * ncols > _MACAULAY_LIMIT:
                 yield "BoundTooLarge", (f"its Macaulay matrix is {nrows} x {ncols}, "
                                         f"past the limit of {_MACAULAY_LIMIT} entries")
@@ -632,6 +684,9 @@ class EllTranslateMap(_MapKind):
     def image_fn(self) -> Callable:
         n, translation, curve = self.multiplier, self.translation, self.curve
         return lambda point: ec_add(curve, ec_mul(curve, n, point), translation)
+
+    def _escape_height(self) -> int:
+        return 0  # membership keeps the query's bound; its soundness is open
 
     def weight(self, convention: str) -> float:
         """n^2, or |n| under the abs convention, as for Gaussian maps."""
@@ -786,8 +841,8 @@ def validate_system(system: FractalSystem) -> list[Violation]:
         if seed_space is not space:
             message = f"seed {j} lives in {seed_space.name!r}"
             violations.append(Violation("SpaceMismatch", "seed", j, message))
-        elif space.tuples and any(m.nvars() != len(space.payload(seed)) for m in maps):
-            message = f"seed {j} has {len(space.payload(seed))} coordinates, unlike the maps"
+        elif space.tuples and any(m.nvars() != len(seed.coords) for m in maps):
+            message = f"seed {j} has {len(seed.coords)} coordinates, unlike the maps"
             violations.append(Violation("BadArity", "seed", j, message))
         elif system.space == "ec" and system.curve and not system.curve.contains(seed):
             violations.append(Violation("SeedNotOnCurve", "seed", j, f"seed {seed} not on curve"))

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import re
@@ -678,6 +679,47 @@ def test_fuzzed_documents_and_literals_exit_cleanly(data):
             assert code in (0, 2, 3)
             if code:
                 assert "error[" in err and "Traceback" not in err
+
+
+# --- affq output pins --------------------------------------------------------
+
+
+def _affq_doc_1d(label, maps, seeds):
+    """A one-variable affq document; each map is a list of (coeff, exponent)."""
+    maps = [{"kind": "poly_tuple",
+             "components": [[{"coeff": c, "exponents": [e]} for c, e in terms]]}
+            for terms in maps]
+    return {"space": "affq", "label": label, "maps": maps, "seeds": [[s] for s in seeds]}
+
+
+# {x -> x^2, x -> 16x^2 - 4x} from 1/2: heights drop (16*(1/4)^2 - 1 = 0).
+_DROP = _affq_doc_1d("drop", [[("1", 2)], [("16", 2), ("-4", 1)]], ["1/2"])
+# {x -> x^2, x -> x^4} from 1/2 and 2/3: every x^4 is also a square's square.
+_OVERLAP = _affq_doc_1d("overlap", [[("1", 2)], [("1", 4)]], ["1/2", "2/3"])
+
+
+@pytest.mark.parametrize("doc, argv, output, digest", [
+    (None, ["enumerate", Q2, "--bound", "18446744073709551616"], "points.csv",
+     "370bd525509ff89dddddc15efc81317ae7d9208c3aad1f1afb33ca8c4f2bff36"),
+    (_DROP, ["enumerate", "{doc}", "--bound", "1e6"], "points.csv",
+     "e56e983fd85d655259e23b7cf776cea50ed2bd0c37b7b6ddd9da5e66ce8333e6"),
+    # 13 points after three generations; the cut lands inside the fourth.
+    (_DROP, ["enumerate", "{doc}", "--bound", "1e6", "--max-points", "17"], "points.csv",
+     "0c1b03d47cbbbc6a3d503789d72a66d93b8e715ca271fc82a3a236592e524f18"),
+    (_OVERLAP, ["audit", "{doc}", "--bound", "1e40"], "audit.json",
+     "28e6d0b200885ea3bd28519490e429bc4211eacac30edb136c042343394e943c"),
+])
+def test_affq_outputs_are_pinned(tmp_path, capsys, doc, argv, output, digest):
+    # Orbit order is (size, coordinate order of the rationals), whatever form
+    # the points take inside the enumerator; these digests pin that order.
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    argv = [a.replace("{doc}", str(doc_path)) for a in argv]
+    if argv[0] == "enumerate":
+        argv += ["--out", str(tmp_path / output)]
+    code, _, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert code == 0, err
+    assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest
 
 
 # --- README ------------------------------------------------------------------

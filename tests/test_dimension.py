@@ -13,6 +13,8 @@ from arithfractal import (
     enumerate_system,
     evaluate_pressure,
     fit_growth_exponent,
+    geometric_grid,
+    load_corpus_system,
     height_growth_audit,
     reciprocal_sum_audit,
     solve_dimension,
@@ -20,6 +22,7 @@ from arithfractal import (
     t_module_weights,
     validate_system,
 )
+from arithfractal.corpus import CORPUS
 from arithfractal.errors import NonExpandingWeightError
 
 TOL = 1e-12
@@ -176,6 +179,38 @@ def _ec_system(*maps):
 def ec_kp():
     """{Q -> [2]Q, Q -> [2]Q + P} from P = (0,0): the orbit {kP : k >= 1}."""
     return _ec_system((2, "inf"), (2, ["0", "0"]))
+
+
+_LOG2 = math.log(2)
+# Per exact corpus system with at least two maps: the bound of its bag, a
+# doubling grid (in log height on P^1 and A^2) and the tolerance between
+# dim and the fitted exponent, with the fit each gives.  Lower-order terms
+# of N(x) set the tolerances: p1-powers2-full has 2k + 1 points of log2
+# height at most k, q2-powers2 has (k + 1)^2.  Gauss-base reads 1.014 at 2^20.
+_GROWTH_CASES = {
+    "z-binary": (10**6, geometric_grid(4, 10**6, 2), 0.02),  # 0.990
+    "digits01": (2**29, geometric_grid(4, 2**29, 2), 0.01),  # 0.3015 against 0.3010
+    "digits012": (2**29, geometric_grid(4, 2**29, 2), 0.01),  # 0.478 against 0.4771
+    "gauss-base": (2**16, geometric_grid(4, 2**16, 2), 0.03),  # 1.022
+    "p1-doubling": (2**30, geometric_grid(_LOG2, 30 * _LOG2, 2), 1e-9),  # 1.0
+    "p1-powers2-full": (2**1024, geometric_grid(16 * _LOG2, 1024 * _LOG2, 2), 0.01),  # 0.9935
+    "q2-powers2": (2**64, geometric_grid(8 * _LOG2, 64 * _LOG2, 2), 0.1),  # 1.903
+}
+
+
+def test_dimension_agrees_with_growth_on_the_exact_corpus():
+    # z-2x3x overlaps, so its orbit grows slower than its dim; ec-37a has one map.
+    checked = []
+    for entry in CORPUS:
+        system = load_corpus_system(entry.name)
+        if not entry.exact or len(system.maps) < 2:
+            continue
+        bound, grid, tol = _GROWTH_CASES[entry.name]
+        fit = fit_growth_exponent(counting_function(enumerate_system(system, bound), grid))
+        dim = solve_dimension(dimension_equation(system)).s
+        assert abs(fit.exponent - dim) < tol, (entry.name, fit.exponent, dim)
+        checked.append(entry.name)
+    assert checked == list(_GROWTH_CASES)
 
 
 def test_ec_weights_are_degrees(ec_kp):

@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arithfractal import (
@@ -354,14 +354,14 @@ def test_member_agrees_with_bag_for_random_diagonal_systems(system):
     # finite: the parents of x under c*x must be divided by c without end.
     n = len(system.seeds[0].coords)
     radius = 40 if n == 1 else 6
-    size = SPACES["affq"].size
-    bag = enumerate_system(system, max(radius, *(size(s.coords) for s in system.seeds)))
+    space = SPACES["affq"]
+    bag = enumerate_system(system, max(radius, *(space.size(space.payload(s)) for s in system.seeds)))
     members = {e.point for e in bag.entries}
     side = {Fraction(a, b) for a in range(-radius, radius + 1) for b in (1, 2, 3)}
     for coords in itertools.product(sorted(side), repeat=n):
-        if size(coords) > radius:
-            continue
         point = AffPoint(coords)
+        if space.size(space.payload(point)) > radius:
+            continue
         result = is_member(system, point)
         assert result.member == (point in members)
         if result.member:
@@ -374,8 +374,8 @@ def test_images_of_members_are_members_where_heights_drop(system):
     # Heights can drop here: 16*(1/4)^2 = 1.  From the seed 1/2, the member 1
     # is reached only through 1/4, so no bag up to the heights of the query
     # and the seeds holds it.  The descent still certifies every image.
-    size = SPACES["affq"].size
-    bag = enumerate_system(system, max(256, *(size(s.coords) for s in system.seeds)))
+    space = SPACES["affq"]
+    bag = enumerate_system(system, max(256, *(space.size(space.payload(s)) for s in system.seeds)))
     for entry in bag.entries:
         for map_ in system.maps:
             image = apply(map_, entry.point)
@@ -393,7 +393,7 @@ def test_member_whose_certificate_passes_above_the_query():
     system = FractalSystem("affq", (f, g), (seed,), "drop")
     assert validate_system(system) == []
     target = AffPoint((Fraction(1), Fraction(1)))
-    assert not enumerate_system(system, 2).has_payload(target.coords)
+    assert not enumerate_system(system, 2).has_payload(SPACES["affq"].payload(target))
     result = is_member(system, target)
     assert result == (True, seed, (0, 1), False)
     assert replay_certificate(system, result) == target
@@ -433,6 +433,119 @@ def test_member_fallback_on_complete_bag_decides(p1_full):
     complete = enumerate_system(p1_full, 2**10, max_points=21)
     assert len(complete) == 21 and not complete.truncated
     assert not is_member(p1_full, ProjPoint((3, 1)), fallback_bag=complete).member
+
+
+def _drop_systems():
+    """The two systems whose members are reached only above the query: on
+    P^1 (1:1) = f(g(2:1)) through (4:1), on affq 0 = g(f(1/2)) through 1/4."""
+    x2, y2 = Polynomial(2, [((2, 0), 1)]), Polynomial(2, [((0, 2), 1)])
+    p1 = FractalSystem("projq", (
+        ProjHomogMap((x2, Polynomial(2, [((0, 2), 16)]))), ProjHomogMap((x2, y2)),
+    ), (ProjPoint((2, 1)),), "p1-drop")
+    square = Polynomial(1, [((2,), 1)])
+    affq = FractalSystem("affq", (
+        PolyTupleMap((square,)), PolyTupleMap((Polynomial(1, [((2,), 16), ((1,), -4)]),)),
+    ), (AffPoint((Fraction(1, 2),)),), "affq-drop")
+    return p1, affq
+
+
+def test_affq_bag_order_is_point_order():
+    # Payloads (den : num) sort unlike the rationals num / den they stand for.
+    space = SPACES["affq"]
+    bag = enumerate_system(_drop_systems()[1], 10**6)
+    points = bag.points()
+    assert [(space.size(space.payload(p)), p) for p in points] == sorted(
+        (space.size(space.payload(p)), p) for p in points)
+    assert points[:4] == [AffPoint((Fraction(c),)) for c in (0, Fraction(1, 2), 2, Fraction(1, 4))]
+    assert [e.point for e in bag.entries] == points
+
+
+def test_fallback_member_reached_above_the_query():
+    p1, affq = _drop_systems()
+    assert validate_system(p1) == validate_system(affq) == []
+    assert [m._escape_height() for m in p1.maps] == [16, 1]
+    for system, query in ((p1, ProjPoint((1, 1))), (affq, AffPoint((Fraction(0),)))):
+        space = SPACES[system.space]
+        assert not enumerate_system(system, 2).has_payload(space.payload(query))
+        assert is_member(system, query) == (True, None, (), True)
+        assert is_member(system, query, fallback_bag=enumerate_system(system, 2)).member
+    # A miss is decided in the bag up to the escape height 16.
+    assert is_member(p1, ProjPoint((3, 1))) == (False, None, (), True)
+
+
+def test_escape_height_bounds_every_drop():
+    # Brute force over P^1 up to height 60: a point that f does not raise
+    # in height has height at most C_f.  The last two maps are affine ones
+    # on their chart.
+    maps = [ProjHomogMap((binary_form(f), binary_form(g))) for f, g in (
+        ([1, 0, 0], [0, 0, 16]), ([1, 0, 3], [0, 2, 0]), ([16, 0, 1], [1, -4, 0]),
+        ([1, 0, 0, 1], [0, 0, 4, 0]), ([2, 1, 0], [0, 1, 3]),
+    )] + [ProjHomogMap(PolyTupleMap((parse_polynomial(f, 1),))._forms)
+          for f in ("16*x1^2 - 4*x1", "x1^2/4 - x1/16")]
+    for map_ in maps:
+        cap, image = map_._escape_height(), map_.image_fn()
+        assert cap is not None
+        for a, b in itertools.product(range(-60, 61), range(61)):
+            if math.gcd(a, b) == 1 and max(abs(a), b) > cap:
+                assert max(map(abs, image((a, b)))) > max(abs(a), b), (map_, a, b)
+
+
+def test_fallback_miss_without_escape_height_is_undecided():
+    # x -> 3x + 1 has degree 1, so no escape height: a miss proves nothing.
+    linear = FractalSystem("affq", (PolyTupleMap((parse_polynomial("3*x1 + 1", 1),)),),
+                           (AffPoint((Fraction(0),)),), "linear")
+    assert is_member(linear, AffPoint((Fraction(4),))).member
+    message = r"\(5\) is not among the \d+ points of a bag with a map of no escape height"
+    with pytest.raises(UndecidedError, match=message):
+        is_member(linear, AffPoint((Fraction(5),)))
+    # (x1^2, x1*x2 + x2) homogenizes to (z^2 : x1^2 : x1*x2 + x2*z), which
+    # vanishes at (0 : 0 : 1) on the line at infinity.
+    infinity = PolyTupleMap((parse_polynomial("x1^2", 2), parse_polynomial("x1*x2 + x2", 2)))
+    assert infinity._escape_height() is None
+    assert PolyTupleMap((parse_polynomial("x1^2 - x1/4", 1),))._escape_height() is not None
+
+
+def _forward_words(system, depth):
+    """Every image of a seed under a word of at most ``depth`` maps, with no
+    size pruning: an oracle that knows nothing of escape heights."""
+    reached = set(system.seeds)
+    frontier = list(reached)
+    for _ in range(depth):
+        frontier = [apply(m, p) for p in frontier for m in system.maps]
+        reached.update(frontier)
+    return reached
+
+
+_POWERS4 = st.sampled_from([1, 4, 16])
+_P1_SQUARES = st.builds(
+    lambda maps, seed: FractalSystem("projq", tuple(maps), (ProjPoint(seed),), "squares"),
+    st.lists(st.tuples(_POWERS4, _POWERS4).map(lambda c: ProjHomogMap(
+        (binary_form([c[0], 0, 0]), binary_form([0, 0, c[1]])))), min_size=1, max_size=2),
+    st.tuples(st.integers(-4, 4), st.integers(0, 4)).filter(lambda p: math.gcd(*p) == 1),
+)
+# x -> c2*x^2 + c1*x with c2 in {1, 4, 16, 1/4, 1/16} and c1 in {0, +-1, +-4, +-16}.
+_A1_QUADRATICS = st.builds(
+    lambda maps, seed: FractalSystem("affq", tuple(maps), (AffPoint((seed,)),), "quadratics"),
+    st.lists(st.tuples(
+        st.sampled_from([1, 4, 16, Fraction(1, 4), Fraction(1, 16)]),
+        st.sampled_from([0, 1, -1, 4, -4, 16, -16]),
+    ).map(lambda c: PolyTupleMap((Polynomial(1, [((2,), c[0]), ((1,), c[1])]),))),
+        min_size=1, max_size=2),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=150)
+@given(st.one_of(_P1_SQUARES, _A1_QUADRATICS))
+@example(_drop_systems()[0])
+@example(_drop_systems()[1])
+def test_every_point_a_word_reaches_is_a_member(system):
+    # Heights drop under these maps (16*(1/4)^2 = 1, (4 : 16) = (1 : 4)), so
+    # a path may pass above its end; the fallback must still find it.
+    for point in _forward_words(system, 3):
+        result = is_member(system, point)
+        assert result.member, point
+        assert result.via_fallback or replay_certificate(system, result) == point
 
 
 # --- exactness audit ---------------------------------------------------------
