@@ -109,7 +109,7 @@ class PointBag:
             return [e.point for e in self._items]
         records = sorted(self._items)
         points = [self._to_point(r[1]) for r in records]
-        # Within one size, payload order is point order except on affq.
+        # Within one size, payload order is point order except on affq: sort runs only then.
         pairs = zip(records, islice(records, 1, None), points, islice(points, 1, None))
         if any(r[0] == s[0] and p > q for r, s, p, q in pairs):
             points = []
@@ -272,7 +272,8 @@ def is_member(
     Uses backward descent through exact preimages when every map supports
     one.  Otherwise the decision falls back to an enumerated bag whose
     bound must cover the queried point (flagged in the result), and on a
-    miss the maps' escape heights too.  A point missing from a truncated
+    miss the maps' escape heights too, except on ec, where the bound stays
+    the query's and its soundness is open.  A point missing from a truncated
     bag, or with a map that has no escape height, raises UndecidedError.
     """
     if depth_limit < 1:
@@ -291,7 +292,8 @@ def is_member(
         member = bag.has_payload(payload)
         # Above its escape height a map raises sizes, so no path from a seed
         # to the query passes the largest of these sizes and escape heights.
-        caps = [] if member or bag.truncated else [m._escape_height() for m in system.maps]
+        skip = member or bag.truncated or space.name == "ec"
+        caps = [] if skip else [m._escape_height() for m in system.maps]
         if caps and None not in caps and max(sizes + caps) > bag.bound:
             bag = enumerate_system(system, max(sizes + caps))
             member = bag.has_payload(payload)

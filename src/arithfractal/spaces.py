@@ -525,6 +525,12 @@ def _macaulay_shape(forms: Sequence[Polynomial]) -> tuple[int, int, int]:
     return math.comb(top + nvars - 1, top), nvars * math.comb(top - d + nvars - 1, top - d), bits
 
 
+def _exact_solve_fits(forms: Sequence[Polynomial]) -> bool:
+    """Whether the exact ``_macaulay_solutions`` stays within its limit."""
+    nrows, ncols, bits = _macaulay_shape(forms)
+    return nrows**2 * ncols * bits <= _MACAULAY_EXACT_LIMIT
+
+
 def _macaulay_solutions(forms: Sequence[Polynomial], modulus: int = 0) -> Optional[list]:
     """Coefficients of U_ij of degree D - d with sum_j U_ij*F_j = x_i^D, one
     list per i (U_i0, U_i1, ..., each by ``_monomials``), for integer forms
@@ -633,10 +639,7 @@ class ProjHomogMap(_MapKind):
         > H(q).  None for degree 1, forms that share a zero, or an exact solve
         past its limit."""
         d = self.degree()
-        if d < 2:
-            return None
-        nrows, ncols, bits = _macaulay_shape(self.forms)
-        if nrows**2 * ncols * bits > _MACAULAY_EXACT_LIMIT:
+        if d < 2 or not _exact_solve_fits(self.forms):
             return None
         loss = _height_loss(self.forms)
         return None if loss is None else _floor_root(loss - 1, d - 1) + 1
@@ -659,7 +662,7 @@ class ProjHomogMap(_MapKind):
                                         f"past the limit of {_MACAULAY_LIMIT} entries")
             elif _macaulay_solutions(forms, _MACAULAY_PRIME) is not None:
                 pass  # no common zero mod p, so none over the algebraic numbers
-            elif nrows**2 * ncols * bits > _MACAULAY_EXACT_LIMIT:
+            elif not _exact_solve_fits(forms):
                 yield "BoundTooLarge", (f"its Macaulay matrix is {nrows} x {ncols} with {bits}-bit "
                                         "entries, past the limit for an exact solve")
             elif _macaulay_solutions(forms) is None:
@@ -684,9 +687,6 @@ class EllTranslateMap(_MapKind):
     def image_fn(self) -> Callable:
         n, translation, curve = self.multiplier, self.translation, self.curve
         return lambda point: ec_add(curve, ec_mul(curve, n, point), translation)
-
-    def _escape_height(self) -> int:
-        return 0  # membership keeps the query's bound; its soundness is open
 
     def weight(self, convention: str) -> float:
         """n^2, or |n| under the abs convention, as for Gaussian maps."""
