@@ -18,8 +18,7 @@ import gc
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import groupby, islice
-from operator import itemgetter
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -35,6 +34,7 @@ from .spaces import (
     SPACES,
     AffPoint,
     FractalSystem,
+    PolyTupleMap,
     Space,
     SpacePoint,
     apply,
@@ -58,12 +58,12 @@ class PointBag:
     The ordered views (``entries``, ``points``) list points by (size,
     coordinate order), so a bag at a smaller bound is a prefix of the bag
     at a larger one.  Until ``entries`` is first read the bag holds one
-    ``(size, payload, depth)`` record per point, in discovery order.
-    ``entries`` wraps each payload as its point, sorts the records in their
-    natural tuple order (size first, then point; points are distinct) and
+    ``(size, payload, depth)`` record per point, in discovery order.  Both
+    views sort the records by size, then payload under the space's
+    ``sort_key`` (point order).  ``entries`` sorts them in place and
     replaces each one by its ``BagEntry`` in the same list, so the bag
-    never holds a record and an entry for one point; consecutive entries of
-    equal size share one ``SizeValue``.  ``len``, ``points``,
+    never holds a record and an entry for one point; consecutive entries
+    of equal size share one ``SizeValue``.  ``len``, ``points``,
     ``raw_sizes``, ``log_sizes`` and ``has_payload`` read either form, so
     listing, counting and membership never pay for materialization.
     """
@@ -78,6 +78,8 @@ class PointBag:
         self._items = records
         self._materialized = False
         self._to_point = to_point
+        sort_key = SPACES[space].sort_key
+        self._key = None if sort_key is None else lambda r: (r[0], sort_key(r[1]))
 
     def __len__(self):
         return len(self._items)
@@ -91,14 +93,12 @@ class PointBag:
             last = size_value = None
             gc.disable()
             try:
+                items.sort(key=self._key)
                 for i, (s, p, d) in enumerate(items):
-                    items[i] = (s, to_point(p), d)
-                items.sort()
-                for i, (s, point, d) in enumerate(items):
                     if s != last:
                         last = s
                         size_value = SizeValue(s, log(s) if s > 1 else 0.0)
-                    items[i] = BagEntry(point, size_value, d)
+                    items[i] = BagEntry(to_point(p), size_value, d)
                 self._materialized = True
             finally:
                 gc.enable()
@@ -107,15 +107,7 @@ class PointBag:
     def points(self) -> list[SpacePoint]:
         if self._materialized:
             return [e.point for e in self._items]
-        records = sorted(self._items)
-        points = [self._to_point(r[1]) for r in records]
-        # Within one size, payload order is point order except on affq: sort runs only then.
-        pairs = zip(records, islice(records, 1, None), points, islice(points, 1, None))
-        if any(r[0] == s[0] and p > q for r, s, p, q in pairs):
-            points = []
-            for _, run in groupby(records, itemgetter(0)):  # runs of one size
-                points.extend(sorted([self._to_point(r[1]) for r in run]))
-        return points
+        return [self._to_point(r[1]) for r in sorted(self._items, key=self._key)]
 
     def raw_sizes(self) -> list[int]:
         """Sizes in nondecreasing order (a linear read once entries exist)."""
@@ -165,8 +157,8 @@ def _raw_orbit(
     max_points: int,
     counts: Optional[dict] = None,
 ) -> tuple[list, bool]:
-    """BFS closure on payloads; records are (size, payload, depth) in
-    discovery order, size first as in the bag's (size, point) order.
+    """BFS closure on payloads: (size, payload, depth) records in discovery
+    order; a generation that a cut may reach is expanded in ``sort_key`` order.
 
     When a ``counts`` dict is supplied, every repeat hit is tallied there:
     an in-bound image that is already a seed or already discovered.  A
@@ -192,7 +184,7 @@ def _raw_orbit(
         # Intra-generation order only matters when a truncation cut could
         # land in this generation; the final sort fixes the order otherwise.
         if len(records) + map_count * len(frontier) >= max_points:
-            frontier.sort(key=space.to_point)
+            frontier.sort(key=space.sort_key)
         next_frontier = []
         seen_add = seen.add
         rec_append = records.append
@@ -314,13 +306,21 @@ def _descend(system: FractalSystem, space: Space, payload, depth_limit: int) -> 
     # so one lookup tells a seed, a revisit and a new parent apart.  As the
     # visited set it ends the walk on Z and Z[i], where outside the basin
     # radius preimages strictly shrink and inside it only finitely many points
-    # exist.  On affq a parent can be larger than its child (x/3 under
-    # x -> 3x), so there the depth limit may be what ends the walk.
+    # exist.  On A^n a parent can be larger than its child (x/3 under
+    # x -> 3x), so the depth limit may end the walk, except when every map is
+    # x -> c*x + d with integers c and d: then den(f(x)) divides den(x), so a
+    # parent whose denominator (payload[0]) does not divide L, the lcm of the
+    # seeds' denominators, is on no forward path from a seed.  The parents left
+    # have bounded denominators and, as |c| >= 2, shrink towards |x| <= |d|.
     links = dict.fromkeys((space.payload(s) for s in system.seeds), True)
     if payload in links:
         return MembershipResult(True, space.to_point(payload), (), False)
-    links[payload] = None
     preimages = [m.preimage_fn() for m in system.maps]
+    if all(isinstance(m, PolyTupleMap) and m.degree() == 1
+           and all(c.has_integer_coefficients() for c in m.components) for m in system.maps):
+        lcm = math.lcm(*(seed[0] for seed in links))
+        preimages = [lambda p, f=f: tuple(q for q in f(p) if lcm % q[0] == 0) for f in preimages]
+    links[payload] = None
     stack = [(payload, 0)]
     while stack:
         current, depth = stack.pop()
@@ -438,7 +438,7 @@ def audit_exactness(
         covered_count = total_points - len(seed_payloads) + seeds_hit
         overlap_payloads = sorted(
             (p for p, c in counts.items() if c >= 2 or p not in seed_payloads),
-            key=space.to_point,
+            key=space.sort_key,
         )
         uncovered_count = 0
         uncovered_payloads: list = []
@@ -446,11 +446,16 @@ def audit_exactness(
     else:
         if space.window is None:
             raise UnsupportedSpaceError(f"no ambient window for space {space.name!r}")
+        cutoffs = []
+        for i, map_ in enumerate(system.maps):
+            try:
+                cutoffs.append(min(bound_int, map_.source_bound(bound_int)))
+            except BoundTooLargeError as exc:
+                raise BoundTooLargeError(f"map {i}: {exc}") from None
         head = islice(space.window(bound_int, seeds), DEFAULT_MAX_POINTS + 1)
         total_points = sum(1 for _ in head)
         if total_points > DEFAULT_MAX_POINTS:
             raise too_large
-        cutoffs = [min(bound_int, m.source_bound(bound_int)) for m in system.maps]
 
         def sources(i):
             """Map i sends q into the window only if size(q) is at most its
@@ -464,7 +469,7 @@ def audit_exactness(
                 if size(p) <= bound_int:
                     counts[p] = counts.get(p, 0) + 1
         covered_count = len(counts)
-        overlap_payloads = sorted((p for p, c in counts.items() if c >= 2), key=space.to_point)
+        overlap_payloads = sorted((p for p, c in counts.items() if c >= 2), key=space.sort_key)
         uncovered_count = total_points - covered_count
         uncovered_payloads = heapq.nsmallest(
             max_listed, (p for p in space.window(bound_int, seeds) if p not in counts)

@@ -20,7 +20,8 @@ exactness audit.  A window is a lazy iterable, made afresh on each call: ``range
 Z, rows of a disc on Z[i], and (0:1), (1:0), then (a:b), (a:-b) by rising
 a and b on P^1.  The window at a smaller bound lists exactly the points of
 that size, in the same relative order.  ``point_space`` is the one lookup
-from a point's type to its entry.
+from a point's type to its entry.  Listings order points by size, then by
+point, a payload by its ``sort_key`` (None where it sorts like its point).
 
 Each map kind is likewise written once, as one class: ``image_fn`` and
 ``preimage_fn`` compile a map into closures on payloads, which ``apply``,
@@ -47,6 +48,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union, ge
 
 from .elliptic import Curve, ECPoint, INFINITY, ec_add, ec_mul
 from .errors import (
+    BoundTooLargeError,
     ConfigError,
     NonExpandingWeightError,
     PointNotOnCurveError,
@@ -141,6 +143,11 @@ def _affine_tuple(coords: Sequence) -> tuple:
     num_1 : ...) of (1 : x): den, the lcm of their denominators, leads."""
     den = math.lcm(*(c.denominator for c in coords))
     return (den,) + tuple(c.numerator * (den // c.denominator) for c in coords)
+
+
+def _affine_point(t: tuple) -> AffPoint:
+    """The affine point x of the canonical tuple (den : num_1 : ...) of (1 : x)."""
+    return AffPoint(tuple(Fraction(c, t[0]) for c in t[1:]))
 
 
 def _ec_size(point: ECPoint) -> int:
@@ -244,6 +251,7 @@ class Space(NamedTuple):
     parse: Callable  # stripped command-line literal -> payload
     tuples: bool = False  # payloads are coordinate tuples of the maps' arity
     window: Optional[Callable] = None  # (bound, seed payloads) -> lazy ambient audit window
+    sort_key: Optional[Callable] = None  # payload -> key in point order; None: the payload's own
 
 
 SPACES = {
@@ -254,11 +262,12 @@ SPACES = {
         Space("gauss", GaussPoint, lambda p: GaussPoint(*p), tuple, _identity,
               gauss_norm, "norm", _parse_gauss, _gauss_to_json, _parse_gauss_literal,
               window=_gauss_window),
-        Space("affq", AffPoint, lambda t: AffPoint(tuple(Fraction(c, t[0]) for c in t[1:])),
+        Space("affq", AffPoint, _affine_point,
               lambda p: _affine_tuple([Fraction(c) for c in p.coords]), _proj_canonical,
               _max_abs, "height", _rationals,
               lambda t: [format_rational(Fraction(c, t[0])) for c in t[1:]],
-              lambda t: _rationals(t.strip("()").split(",")), tuples=True),
+              lambda t: _rationals(t.strip("()").split(",")), tuples=True,
+              sort_key=_affine_point),
         Space("projq", ProjPoint, ProjPoint, attrgetter("coords"), _proj_canonical,
               _max_abs, "height", _ints, lambda coords: [str(c) for c in coords],
               lambda t: _ints(t.strip("()").split(":")), tuples=True, window=_proj_window),
@@ -525,10 +534,13 @@ def _macaulay_shape(forms: Sequence[Polynomial]) -> tuple[int, int, int]:
     return math.comb(top + nvars - 1, top), nvars * math.comb(top - d + nvars - 1, top - d), bits
 
 
-def _exact_solve_fits(forms: Sequence[Polynomial]) -> bool:
-    """Whether the exact ``_macaulay_solutions`` stays within its limit."""
+def _exact_solve_excess(forms: Sequence[Polynomial]) -> Optional[str]:
+    """Why the exact ``_macaulay_solutions`` would pass its limit, or None."""
     nrows, ncols, bits = _macaulay_shape(forms)
-    return nrows**2 * ncols * bits <= _MACAULAY_EXACT_LIMIT
+    if nrows**2 * ncols * bits <= _MACAULAY_EXACT_LIMIT:
+        return None
+    return (f"its Macaulay matrix is {nrows} x {ncols} with {bits}-bit entries, "
+            "past the limit for an exact solve")
 
 
 def _macaulay_solutions(forms: Sequence[Polynomial], modulus: int = 0) -> Optional[list]:
@@ -631,7 +643,10 @@ class ProjHomogMap(_MapKind):
     def source_bound(self, bound: int) -> int:
         """Northcott on every P^n: H(f(q)) <= bound forces H(q) <=
         (K*D'*bound)^(1/d), with K*D' from ``_height_loss``.  Defined for maps
-        that pass validation."""
+        that pass validation, and BoundTooLargeError past the exact solve's limit."""
+        excess = _exact_solve_excess(self.forms)
+        if excess:
+            raise BoundTooLargeError(excess)
         return _floor_root(_height_loss(self.forms) * bound, self.degree())
 
     def _escape_height(self) -> Optional[int]:
@@ -639,7 +654,7 @@ class ProjHomogMap(_MapKind):
         > H(q).  None for degree 1, forms that share a zero, or an exact solve
         past its limit."""
         d = self.degree()
-        if d < 2 or not _exact_solve_fits(self.forms):
+        if d < 2 or _exact_solve_excess(self.forms):
             return None
         loss = _height_loss(self.forms)
         return None if loss is None else _floor_root(loss - 1, d - 1) + 1
@@ -656,15 +671,14 @@ class ProjHomogMap(_MapKind):
         elif any(not f.has_integer_coefficients() for f in forms):
             yield "NonIntegerForm", "forms need integer coefficients"
         elif degrees != {0}:  # nonzero constants share no zero
-            nrows, ncols, bits = _macaulay_shape(forms)
+            nrows, ncols, _ = _macaulay_shape(forms)
             if nrows * ncols > _MACAULAY_LIMIT:
                 yield "BoundTooLarge", (f"its Macaulay matrix is {nrows} x {ncols}, "
                                         f"past the limit of {_MACAULAY_LIMIT} entries")
             elif _macaulay_solutions(forms, _MACAULAY_PRIME) is not None:
                 pass  # no common zero mod p, so none over the algebraic numbers
-            elif not _exact_solve_fits(forms):
-                yield "BoundTooLarge", (f"its Macaulay matrix is {nrows} x {ncols} with {bits}-bit "
-                                        "entries, past the limit for an exact solve")
+            elif excess := _exact_solve_excess(forms):
+                yield "BoundTooLarge", excess
             elif _macaulay_solutions(forms) is None:
                 yield "CommonZero", "the forms share a zero over the algebraic numbers"
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -505,6 +506,57 @@ def test_fallback_miss_without_escape_height_is_undecided():
     assert PolyTupleMap((parse_polynomial("x1^2 - x1/4", 1),))._escape_height() is not None
 
 
+def _linear(coefficient, seeds):
+    """{x -> coefficient*x} on the rational line, from the given seeds."""
+    map_ = PolyTupleMap((parse_polynomial(f"{coefficient}*x1", 1),))
+    return FractalSystem("affq", (map_,), tuple(AffPoint((Fraction(s),)) for s in seeds), "linear")
+
+
+@pytest.mark.parametrize("coefficient, seed, query, member", [
+    (-3, 0, 5, False), (-3, 0, Fraction(3, 2), False), (-3, 0, 1, False), (-3, 0, 4, False),
+    (2, Fraction(1, 2), 5, False), (2, Fraction(1, 2), Fraction(3, 2), False),
+    (2, Fraction(1, 2), 1, True), (2, Fraction(1, 2), 4, True),
+])
+def test_integer_linear_descent_ends_by_denominators(coefficient, seed, query, member):
+    # Without the prune these walk 5/3, 5/9, ... (or 5/2, 5/4, ...) to the
+    # depth limit and raise Undecided.
+    system, point = _linear(coefficient, [seed]), AffPoint((Fraction(query),))
+    result = is_member(system, point)
+    assert result.member == member and not result.via_fallback
+    if member:
+        assert replay_certificate(system, result) == point
+
+
+def _in_scaled_orbit(c, seeds, q):
+    """The closed form: q = s*c^k for a seed s and some k >= 0."""
+    if q == 0:
+        return 0 in seeds
+    for s in filter(None, seeds):
+        power = 1
+        while abs(s * power) <= abs(q):
+            if s * power == q:
+                return True
+            power *= c
+    return False
+
+
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, -2, -3, -4, -5]), st.lists(_SMALL_RATIONALS, min_size=1,
+       max_size=3), st.integers(0, 6), st.just(Fraction(1)) | _SMALL_RATIONALS)
+def test_integer_linear_membership_matches_closed_form(c, seeds, k, factor):
+    # Queries s*c^k, one of them scaled by a random rational, so that
+    # members and near misses both turn up.
+    system = _linear(c, seeds)
+    point = AffPoint((seeds[0] * c**k * factor,))
+    result = is_member(system, point)
+    assert result.member == _in_scaled_orbit(c, seeds, point.coords[0])
+    if result.member:
+        assert replay_certificate(system, result) == point
+
+
 def _forward_words(system, depth):
     """Every image of a seed under a word of at most ``depth`` maps, with no
     size pruning: an oracle that knows nothing of escape heights."""
@@ -949,6 +1001,30 @@ def test_valid_map_whose_resultant_the_prime_divides():
     assert _codes((forms[0], Polynomial(2, [((1, 1), 1)]))) == ["CommonZero"]
 
 
+def test_source_bound_past_the_exact_limit_is_bound_too_large(monkeypatch, tmp_path):
+    # A degree-64 P^1 pair with 512-bit coefficients validates by the
+    # elimination mod p, but the exact solve behind its source bound would
+    # run for minutes.  The audit names the map before any window pass.
+    rng = random.Random(11)
+    forms = tuple(Polynomial(2, [((64 - k, k), rng.getrandbits(512) | 1) for k in range(65)])
+                  for _ in range(2))
+    system = FractalSystem("projq", (ProjHomogMap(forms),), (ProjPoint((1, 1)),), "wide")
+    start = time.perf_counter()
+    assert validate_system(system) == []
+    spaces.save_system(system, tmp_path / "wide.json")
+    argv = ["--out-dir", str(tmp_path), "audit", str(tmp_path / "wide.json"), "--bound", "10",
+            "--window", "ambient"]
+    assert main(argv) == 3
+    entry = SPACES["projq"]._replace(window=lambda bound, seeds: pytest.fail("window pass"))
+    monkeypatch.setitem(SPACES, "projq", entry)
+    monkeypatch.setitem(spaces._SPACE_OF_TYPE, ProjPoint, entry)
+    message = (r"^map 0: its Macaulay matrix is 128 x 128 with 512-bit entries, "
+               r"past the limit for an exact solve$")
+    with pytest.raises(BoundTooLargeError, match=message):
+        audit_exactness(system, 10, "ambient")
+    assert time.perf_counter() - start < 5  # 1 s on a shared 2-vCPU VM
+
+
 def brute_ambient_audit(system, window):
     """Unpruned: every map applied to every point of the window."""
     to_point = SPACES[system.space].to_point
@@ -1090,6 +1166,82 @@ def test_gauss_source_bound_rounds_outward(map_, bound):
     norm_a, norm_b = gauss_norm(map_.a), gauss_norm(map_.b)
     excess = norm_a * (map_.source_bound(bound) + 1) - bound - norm_b
     assert excess > 0 and excess**2 > 4 * bound * norm_b
+
+
+def _least_exact_bound(space, a, digits):
+    """The least B with |b| <= (|a| - 1)*B for every digit b on Z, and
+    sqrt(N(b)) <= (sqrt(N(a)) - 1)*sqrt(B) on Z[i]: past it the preimage q of
+    a window point a*q + b lies in the window too."""
+    na, nbs = (abs(a), [abs(b) for b in digits]) if space == "int" else (
+        gauss_norm(a), [gauss_norm(b) for b in digits])
+
+    def fits(bound, nb):
+        if space == "int":
+            return (na - 1) * bound >= nb
+        room = (na - 1) * bound - nb  # squares the Z[i] condition exactly
+        return room >= 0 and 4 * nb * bound <= room * room
+
+    return next(b for b in itertools.count() if all(fits(b, nb) for nb in nbs))
+
+
+def _window_size(space, bound):
+    """Closed forms: 2B + 1 integers, sum over |x| <= sqrt(B) of 2*isqrt(B - x^2) + 1."""
+    if space == "int":
+        return 2 * bound + 1
+    r = math.isqrt(bound)
+    return sum(2 * math.isqrt(bound - x * x) + 1 for x in range(-r, r + 1))
+
+
+def _assert_digit_system_audits(space, a, digits, bounds, complete):
+    """Kátai-Szabó: maps a*x + b_i whose digits b_i are distinct mod a meet
+    nowhere in the ring, so no audit finds an overlap; when the digits are a
+    complete residue system every point is a*q + b_i for exactly one (i, q),
+    so the ambient audit is exact from the least exact bound on."""
+    if space == "int":
+        maps, seed = tuple(IntAffineMap(a, b) for b in digits), IntPoint(0)
+    else:
+        maps = tuple(GaussAffineMap(GaussPoint(*a), GaussPoint(*b)) for b in digits)
+        seed = GaussPoint(0, 0)
+    system = FractalSystem(space, maps, (seed,), "digits")
+    for bound in bounds:
+        for window in ("orbit", "ambient"):
+            assert audit_exactness(system, bound, window).overlap_count == 0
+    if complete:
+        least = _least_exact_bound(space, a, digits)
+        for bound in (least, least + 1) + tuple(b for b in bounds if b > least):
+            report = audit_exactness(system, bound, "ambient")
+            assert report.exact
+            assert report.covered_count == report.total_points == _window_size(space, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, -2, -3, -4, -5]).flatmap(lambda a: st.tuples(
+    st.just(a), st.sets(st.integers(0, abs(a) - 1), min_size=1),
+    st.lists(st.integers(-3, 3), min_size=abs(a), max_size=abs(a)))), st.integers(0, 200))
+@example((-3, {0, 1, 2}, [2, 0, -3]), 50)
+def test_digit_systems_on_z_against_katai_szabo(digits, bound):
+    a, residues, shifts = digits
+    digits = [r + a * t for r, t in zip(sorted(residues), shifts)]
+    _assert_digit_system_audits("int", a, digits, (bound,), len(residues) == abs(a))
+
+
+@pytest.mark.parametrize("a, digits, complete", [
+    ((1, 1), [(0, 0), (1, 0)], True),  # gauss-base, exact from B = 6
+    ((2, 0), [(0, 0), (1, 0), (0, 1), (1, 1)], True),
+    ((1, 2), [(b, 0) for b in range(5)], True),
+    ((2, 0), [(0, 0), (1, 1)], False),
+])
+def test_digit_systems_on_gauss_against_katai_szabo(a, digits, complete):
+    _assert_digit_system_audits("gauss", a, digits, (1, 50, 300), complete)
+
+
+def test_corpus_digit_systems_against_katai_szabo(z_binary, gauss_base, digits01):
+    assert _least_exact_bound("gauss", (1, 1), [(0, 0), (1, 0)]) == 6
+    for system, bound, points in ((z_binary, 1000, 2001), (gauss_base, 4096, 12853)):
+        report = audit_exactness(system, bound, "ambient")
+        assert report.exact and report.covered_count == report.total_points == points
+    report = audit_exactness(digits01, 1000, "ambient")
+    assert (report.covered_count, report.overlap_count) == (401, 0)
 
 
 @pytest.mark.parametrize(
