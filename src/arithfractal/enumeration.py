@@ -14,12 +14,12 @@ each such point at most once.
 
 from __future__ import annotations
 
-import gc
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import (
     BoundTooLargeError,
@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedMapKindError,
     UnsupportedSpaceError,
 )
-from .heights import SizeValue
+from .heights import SizeValue, _log
 from .polynomials import Polynomial
 from .spaces import (
     SPACES,
@@ -52,20 +52,41 @@ class BagEntry(NamedTuple):
     depth: int
 
 
+class _Entries(Sequence):
+    """Read-only view of sorted bag records; builds each entry when read."""
+
+    def __init__(self, records: list, to_point):
+        self._records, self._to_point = records, to_point
+
+    def _entry(self, record) -> BagEntry:
+        size, payload, depth = record
+        return BagEntry(self._to_point(payload), SizeValue(size, _log(size)), depth)
+
+    def __len__(self):
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._entry, self._records[index]))
+        return self._entry(self._records[index])
+
+    def __iter__(self):
+        return map(self._entry, self._records)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Entries)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 class PointBag:
     """Result of bounded enumeration: canonical, deduplicated points.
 
-    The ordered views (``entries``, ``points``) list points by (size,
-    coordinate order), so a bag at a smaller bound is a prefix of the bag
-    at a larger one.  Until ``entries`` is first read the bag holds one
-    ``(size, payload, depth)`` record per point, in discovery order.  Both
-    views sort the records by size, then payload under the space's
-    ``sort_key`` (point order).  ``entries`` sorts them in place and
-    replaces each one by its ``BagEntry`` in the same list, so the bag
-    never holds a record and an entry for one point; consecutive entries
-    of equal size share one ``SizeValue``.  ``len``, ``points``,
-    ``raw_sizes``, ``log_sizes`` and ``has_payload`` read either form, so
-    listing, counting and membership never pay for materialization.
+    The bag holds one ``(size, payload, depth)`` record per point, in
+    discovery order, and never rewrites them.  ``entries`` and ``points``
+    sort a copy by size, then payload under the space's ``sort_key`` (point
+    order), so a bag at a smaller bound is a prefix of the bag at a larger
+    one.  Sizes and membership read the records and build no point.
     """
 
     def __init__(self, label, space, bound, size_kind, records, to_point, truncated):
@@ -74,9 +95,7 @@ class PointBag:
         self.bound = bound
         self.size_kind = size_kind
         self.truncated = truncated
-        # [(size, payload, depth)] until `entries` turns it into the entries
         self._items = records
-        self._materialized = False
         self._to_point = to_point
         sort_key = SPACES[space].sort_key
         self._key = None if sort_key is None else lambda r: (r[0], sort_key(r[1]))
@@ -84,52 +103,30 @@ class PointBag:
     def __len__(self):
         return len(self._items)
 
+    def _sorted(self) -> list:
+        return sorted(self._items, key=self._key)
+
     @property
-    def entries(self) -> list[BagEntry]:
-        items = self._items
-        if not self._materialized:
-            to_point = self._to_point
-            log = math.log
-            last = size_value = None
-            gc.disable()
-            try:
-                items.sort(key=self._key)
-                for i, (s, p, d) in enumerate(items):
-                    if s != last:
-                        last = s
-                        size_value = SizeValue(s, log(s) if s > 1 else 0.0)
-                    items[i] = BagEntry(to_point(p), size_value, d)
-                self._materialized = True
-            finally:
-                gc.enable()
-        return items
+    def entries(self) -> Sequence[BagEntry]:
+        """The points in order; each ``BagEntry`` is built when it is read."""
+        return _Entries(self._sorted(), self._to_point)
 
     def points(self) -> list[SpacePoint]:
-        if self._materialized:
-            return [e.point for e in self._items]
-        return [self._to_point(r[1]) for r in sorted(self._items, key=self._key)]
+        return [self._to_point(r[1]) for r in self._sorted()]
 
     def raw_sizes(self) -> list[int]:
-        """Sizes in nondecreasing order (a linear read once entries exist)."""
-        if self._materialized:
-            return [e.size.raw for e in self._items]
+        """Sizes in nondecreasing order."""
         return sorted([r[0] for r in self._items])
 
     def log_sizes(self) -> list[float]:
-        if self._materialized:
-            return [e.size.log_size for e in self._items]
-        log = math.log
-        return [log(s) if s > 1 else 0.0 for s in self.raw_sizes()]
+        return list(map(_log, self.raw_sizes()))
 
     def has_payload(self, payload) -> bool:
         """Whether the bag holds the point with this canonical payload."""
-        if self._materialized:
-            point = self._to_point(payload)
-            return any(e.point == point for e in self._items)
         return any(r[1] == payload for r in self._items)
 
     def max_log_bound(self) -> float:
-        return math.log(self.bound) if self.bound > 1 else 0.0
+        return _log(self.bound)
 
 
 # ---------------------------------------------------------------------------

@@ -64,11 +64,11 @@ def height_growth_audit(system: FractalSystem, bag) -> list[MapGrowthStats]:
     """
     if bag.space != system.space:
         raise SpaceMismatchError("bag was enumerated from a different space")
-    stats = []
+    stats, entries = [], bag.entries
     for i, map_ in enumerate(system.maps):
         degree = map_.degree()
         residuals = [
-            size_of(apply(map_, e.point)).log_size - degree * e.size.log_size for e in bag.entries
+            size_of(apply(map_, e.point)).log_size - degree * e.size.log_size for e in entries
         ]
         stats.append(
             MapGrowthStats(

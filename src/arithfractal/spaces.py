@@ -462,25 +462,28 @@ class PolyTupleMap(_MapKind):
         return ProjHomogMap(self._forms)._escape_height()
 
     def preimage_fn(self) -> Callable:
-        """Coordinatewise roots when each component is a single monomial
-        c*x_i^e in its own variable, x_i read as num_i / den; every sign of
-        an even root gives a parent, and the all-positive parent comes last."""
+        """Coordinatewise roots when each component is c*x_i^e or c*x_i + d in
+        its own variable, x_i read as num_i / den: the e-th roots of (x_i - d)/c,
+        every sign of an even root, with the all-positive parent last."""
         diag = []
         for i, comp in enumerate(self.components):
-            exps, coeff = comp.terms[0] if comp.is_monomial() else ((), 0)
-            if not exps or not exps[i] or any(e and j != i for j, e in enumerate(exps)):
+            terms = dict(comp.terms)
+            shift = terms.pop((0,) * comp.nvars, 0)
+            exps, coeff = next(iter(terms.items())) if len(terms) == 1 else ((), 0)
+            if not exps or not exps[i] or sum(exps) != exps[i] or shift and exps[i] > 1:
                 raise UnsupportedMapKindError(
-                    "preimage supports only coordinatewise monomial tuples"
+                    "preimage supports only coordinatewise c*x^e and c*x + d tuples"
                 )
-            diag.append((coeff.denominator, coeff.numerator, exps[i]))
+            # (num/den - d) / c = (num*A - den*B) / (den*C), A = cd*dd, B = cd*dn, C = cn*dd
+            cd, dd = coeff.denominator, shift.denominator
+            diag.append((cd * dd, cd * shift.numerator, coeff.numerator * dd, exps[i]))
 
         def preimage(coords):
             if len(coords) != len(diag) + 1:
                 return ()
-            roots = []
-            for (num_scale, den_scale, exponent), num in zip(diag, coords[1:]):
-                value = Fraction(num * num_scale, coords[0] * den_scale)  # x_i / c
-                roots.append(_rational_roots(value, exponent))
+            den, roots = coords[0], []
+            for (a, b, c, exponent), num in zip(diag, coords[1:]):
+                roots.append(_rational_roots(Fraction(num * a - den * b, den * c), exponent))
                 if not roots[-1]:
                     return ()
             return tuple(map(_affine_tuple, itertools.product(*roots)))

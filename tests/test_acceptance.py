@@ -9,8 +9,6 @@ import resource
 import time
 from fractions import Fraction
 
-import pytest
-
 from arithfractal import (
     FractalSystem,
     IntAffineMap,

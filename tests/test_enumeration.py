@@ -108,7 +108,8 @@ def test_bag_sorted_and_deduplicated(q2_powers2):
 
 @pytest.mark.parametrize("name", ["z-2x3x", "gauss-base", "p1-powers2-full", "q2-powers2"])
 def test_sizes_same_before_and_after_ordering(name):
-    # Points, sizes and membership read the records until entries replaces them.
+    # Points, sizes and membership read the same records before and after
+    # entries sorts a copy of them.
     system = load_corpus_system(name)
     space = SPACES[system.space]
     probes = [space.payload(e.point) for e in enumerate_system(system, 2**9).entries]
@@ -128,21 +129,30 @@ def test_sizes_same_before_and_after_ordering(name):
     assert [bag.has_payload(p) for p in probes] == held
 
 
-def test_entries_share_one_size_value_per_size(gauss_base):
-    entries = enumerate_system(gauss_base, 2**10).entries
-    distinct = {id(e.size) for e in entries}
-    assert len(distinct) == len({e.size.raw for e in entries}) < len(entries)
+@pytest.mark.parametrize("name, bound", [("gauss-base", 2**14), ("p1-powers2-full", 2**200)])
+def test_reading_entries_keeps_no_entry_per_point(name, bound):
+    # Entries are built as they are read, so reading them all holds only the
+    # sorted copy of the records (8 B a point, and the sort's own buffer).
+    bag = enumerate_system(load_corpus_system(name), bound)
+    tracemalloc.start()
+    try:
+        for _ in bag.entries:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * len(bag), f"{peak / len(bag):.1f} B/point over {len(bag)} points"
 
 
 def test_entries_peak_memory_within_enumeration_peak(gauss_base):
-    # Entries replace the records in place, so materializing never holds a
-    # record and an entry for the same point at once.
+    # The bag keeps its records, so reading every entry adds no form of the
+    # points beside them.
     tracemalloc.start()
     try:
         bag = enumerate_system(gauss_base, 2**14)
         _, enumeration_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        assert len(bag.entries) == len(bag)
+        assert sum(1 for _ in bag.entries) == len(bag)
         _, entries_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -150,6 +160,17 @@ def test_entries_peak_memory_within_enumeration_peak(gauss_base):
         f"{entries_peak / len(bag):.0f} B/point reading entries against "
         f"{enumeration_peak / len(bag):.0f} B/point enumerating"
     )
+
+
+def test_entries_read_like_a_list(gauss_base):
+    bag = enumerate_system(gauss_base, 2**8)
+    entries, listed = bag.entries, list(bag.entries)
+    assert len(entries) == len(listed) == len(bag)
+    assert entries[3:9] == listed[3:9] and entries[-1] == listed[-1]
+    assert entries[-len(bag)] == listed[0] == entries[0]
+    assert entries == entries == listed == bag.entries and listed == entries
+    assert entries != listed[:-1] and bag.entries != enumerate_system(gauss_base, 2**7).entries
+    assert (entries == None) is False and entries != None
 
 
 def test_size_ties_in_coordinate_order(gauss_base):
@@ -492,23 +513,24 @@ def test_escape_height_bounds_every_drop():
 
 
 def test_fallback_miss_without_escape_height_is_undecided():
-    # x -> 3x + 1 has degree 1, so no escape height: a miss proves nothing.
-    linear = FractalSystem("affq", (PolyTupleMap((parse_polynomial("3*x1 + 1", 1),)),),
-                           (AffPoint((Fraction(0),)),), "linear")
-    assert is_member(linear, AffPoint((Fraction(4),))).member
-    message = r"\(5\) is not among the \d+ points of a bag with a map of no escape height"
-    with pytest.raises(UndecidedError, match=message):
-        is_member(linear, AffPoint((Fraction(5),)))
     # (x1^2, x1*x2 + x2) homogenizes to (z^2 : x1^2 : x1*x2 + x2*z), which
-    # vanishes at (0 : 0 : 1) on the line at infinity.
+    # vanishes at (0 : 0 : 1) on the line at infinity: no escape height, so a
+    # miss proves nothing.  It has no exact preimage, so the fallback decides.
     infinity = PolyTupleMap((parse_polynomial("x1^2", 2), parse_polynomial("x1*x2 + x2", 2)))
     assert infinity._escape_height() is None
+    system = FractalSystem("affq", (infinity,), (AffPoint((Fraction(1), Fraction(1))),), "inf")
+    assert is_member(system, AffPoint((Fraction(1), Fraction(4)))) == (True, None, (), True)
+    message = r"\(5,5\) is not among the \d+ points of a bag with a map of no escape height"
+    with pytest.raises(UndecidedError, match=message):
+        is_member(system, AffPoint((Fraction(5), Fraction(5))))
     assert PolyTupleMap((parse_polynomial("x1^2 - x1/4", 1),))._escape_height() is not None
 
 
 def _linear(coefficient, seeds):
-    """{x -> coefficient*x} on the rational line, from the given seeds."""
-    map_ = PolyTupleMap((parse_polynomial(f"{coefficient}*x1", 1),))
+    """{x -> coefficient*x}, or the map given as text, on the rational line,
+    from the given seeds."""
+    text = coefficient if isinstance(coefficient, str) else f"{coefficient}*x1"
+    map_ = PolyTupleMap((parse_polynomial(text, 1),))
     return FractalSystem("affq", (map_,), tuple(AffPoint((Fraction(s),)) for s in seeds), "linear")
 
 
@@ -516,6 +538,7 @@ def _linear(coefficient, seeds):
     (-3, 0, 5, False), (-3, 0, Fraction(3, 2), False), (-3, 0, 1, False), (-3, 0, 4, False),
     (2, Fraction(1, 2), 5, False), (2, Fraction(1, 2), Fraction(3, 2), False),
     (2, Fraction(1, 2), 1, True), (2, Fraction(1, 2), 4, True),
+    ("3*x1 + 1", 0, 5, False), ("3*x1 + 1", 0, Fraction(4, 3), False), ("3*x1 + 1", 0, 13, True),
 ])
 def test_integer_linear_descent_ends_by_denominators(coefficient, seed, query, member):
     # Without the prune these walk 5/3, 5/9, ... (or 5/2, 5/4, ...) to the

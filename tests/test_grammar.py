@@ -3,7 +3,7 @@
 pyproject.toml allows Python 3.10, so syntax added after it (``except*``,
 type parameter lists, ...) must not appear in the package, its tests or
 the benchmark harness, whatever interpreter runs this check.  Every name
-a package module imports is used there.
+a package module or a test module imports is used there.
 """
 
 import ast
@@ -23,7 +23,8 @@ def test_package_modules_use_every_name_they_import():
     # No linter is a dependency, so this is the unused-import check; the
     # package's __init__.py imports only to re-export.
     paths = sorted(p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py")
-    assert any(p.name == "enumeration.py" for p in paths)
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    assert {"enumeration.py", "test_grammar.py"} <= {p.name for p in paths}
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         imported = set()
