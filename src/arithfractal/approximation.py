@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from .enumeration import PointBag
 from .errors import ConfigError, UnsupportedSpaceError, ZeroProjectivePointError
 from .polynomials import parse_rational
-from .spaces import SPACES, ProjPoint, SpacePoint, canonicalize
+from .spaces import ProjPoint, SpacePoint, canonicalize
 
 
 def chordal_distance(p, q) -> float:
@@ -94,10 +94,10 @@ class ApproxRecord(NamedTuple):
 
 
 # Per space: the Target field it is measured against, and the distance
-# from a payload of the space to that target.
+# from a point of the space to that target.
 _METRICS = {
     "projq": ("projective", chordal_distance),
-    "int": ("line", lambda value, line: abs(float(Fraction(value) - line))),
+    "int": ("line", lambda point, line: abs(float(point.value - line))),
 }
 
 
@@ -110,11 +110,9 @@ def _records(bag: PointBag, target: Target) -> list[ApproxRecord]:
     t = getattr(target, field)
     if t is None:
         raise ConfigError(f"{bag.space} bag needs a {field} target")
-    payload = SPACES[bag.space].payload
-    return [
-        _record(e.point, e.size.log_size, distance(payload(e.point), t), target.error)
-        for e in bag.entries
-    ]
+    # In bag order, by size, so the records come by nondecreasing h = log size.
+    return [_record(e.point, e.size.log_size, distance(e.point, t), target.error)
+            for e in bag.entries]
 
 
 def _record(point: SpacePoint, h: float, d: float, error: float) -> ApproxRecord:
@@ -154,7 +152,6 @@ def approximants(
             continue
         if record.d + target.error <= C * math.exp(-delta * record.h):
             hits.append(record)
-    hits.sort(key=lambda r: r.h)
     deciles = [0] * 10
     if h_max > 0:
         for record in hits:
@@ -186,7 +183,6 @@ def approximation_exponent_profile(bag: PointBag, target: Target) -> ExponentPro
     usable = [r for r in records if r.exponent is not None]
     if not usable:
         raise ConfigError("no usable records: every point is an exact hit or h=0")
-    usable.sort(key=lambda r: r.h)
     running = []
     best = -math.inf
     for record in usable:

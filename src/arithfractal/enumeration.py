@@ -37,8 +37,10 @@ from .spaces import (
     PolyTupleMap,
     Space,
     SpacePoint,
+    _homogenized,
     apply,
     as_bound,
+    has_other_arity,
     point_space,
     require_valid,
 )
@@ -270,6 +272,8 @@ def is_member(
     space = point_space(point)
     if space.name != system.space:
         raise ConfigError("point and system live in different spaces")
+    if has_other_arity(system.maps, point):
+        raise ConfigError(f"{point} has {len(point.coords)} coordinates, unlike the maps")
     payload = space.canonical(space.payload(point))
     try:
         return _descend(system, space, payload, depth_limit)
@@ -514,8 +518,8 @@ def curve_intersection_probe(
 ) -> IntersectionProbe:
     """Exact intersections of the enumerated fractal with an affine curve.
 
-    Zero testing is exact rational evaluation; stabilization means the hit
-    set did not change between the last two bounds.
+    Zero testing evaluates the homogenized curve exactly at each integer payload;
+    stabilization means the hit set did not change between the last two bounds.
     """
     if system.space != "affq":
         raise UnsupportedSpaceError("intersection probes run on affine rational systems")
@@ -525,18 +529,14 @@ def curve_intersection_probe(
     if not bound_list:
         raise ConfigError("need at least one bound")
     bag = enumerate_system(system, bound_list[-1])
+    if curve.nvars != system.maps[0].nvars():
+        raise ConfigError(f"curve in {curve.nvars} variables, maps in {system.maps[0].nvars()}")
+    (form,) = _homogenized((curve,), curve.total_degree())
     hits_all = [
-        (entry.size.raw, entry.point)
-        for entry in bag.entries
-        if curve.evaluate(entry.point.coords) == 0
+        (size, bag._to_point(payload))
+        for size, payload, _ in bag._sorted()
+        if form.evaluate_int(payload) == 0
     ]
-    per_bound = []
-    counts = []
-    for b in bound_list:
-        hits = tuple(p for size, p in hits_all if size <= b)
-        per_bound.append(hits)
-        counts.append(len(hits))
+    per_bound = tuple(tuple(p for size, p in hits_all if size <= b) for b in bound_list)
     stabilized = len(bound_list) >= 2 and per_bound[-1] == per_bound[-2]
-    return IntersectionProbe(
-        tuple(bound_list), tuple(counts), tuple(per_bound), stabilized
-    )
+    return IntersectionProbe(tuple(bound_list), tuple(map(len, per_bound)), per_bound, stabilized)

@@ -54,12 +54,11 @@ def counting_function(
     if use_log_sizes is None:
         use_log_sizes = bag.size_kind == "height"
     if use_log_sizes:
-        sizes = bag.log_sizes()
-        limit = bag.max_log_bound() + 1e-9
+        sizes, limit = bag.log_sizes(), bag.max_log_bound()
     else:
-        sizes = [float(s) for s in bag.raw_sizes()]
-        limit = float(bag.bound) + 1e-9
-    if grid and grid[-1] > limit:
+        # Exact ints: float and int compare exactly, past the float range too.
+        sizes, limit = bag.raw_sizes(), bag.bound
+    if grid and grid[-1] - 1e-9 > limit:
         raise GridExceedsBoundError(
             f"grid point {grid[-1]} exceeds the bag bound {limit}"
         )

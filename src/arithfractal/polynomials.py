@@ -129,9 +129,6 @@ class Polynomial:
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for _, c in self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def to_records(self) -> list[dict]:
         return [
             {"coeff": format_rational(c), "exponents": list(e)} for e, c in self.terms

@@ -445,15 +445,10 @@ class PolyTupleMap(_MapKind):
     @cached_property  # ``apply`` compiles the map on every call
     def _forms(self) -> tuple[Polynomial, ...]:
         """The map on the chart x_0 != 0 of P^n as integer forms of its degree
-        d: (L*x_0^d : L*x_0^d*F_1(x/x_0) : ...), L the lcm of the coefficient
-        denominators.  L*x_0^d > 0 on payloads, so images stay in the chart."""
-        d, n = self.degree(), self.nvars()
-        lcm = math.lcm(*(c.denominator for f in self.components for _, c in f.terms))
-        lead = Polynomial(n + 1, [((d,) + (0,) * n, lcm)])
-        return (lead,) + tuple(
-            Polynomial(n + 1, [((d - sum(e),) + e, lcm * c) for e, c in f.terms])
-            for f in self.components
-        )
+        d: (L*x_0^d : L*x_0^d*F_1(x/x_0) : ...), the homogenized (1, F_1, ...).
+        L*x_0^d > 0 on payloads, so images stay in the chart."""
+        n = self.nvars()
+        return _homogenized((Polynomial(n, [((0,) * n, 1)]),) + self.components, self.degree())
 
     def image_fn(self) -> Callable:
         return _forms_image(self._forms)
@@ -463,8 +458,10 @@ class PolyTupleMap(_MapKind):
 
     def preimage_fn(self) -> Callable:
         """Coordinatewise roots when each component is c*x_i^e or c*x_i + d in
-        its own variable, x_i read as num_i / den: the e-th roots of (x_i - d)/c,
-        every sign of an even root, with the all-positive parent last."""
+        its own variable, x_i read as num_i / den: the e-th roots +-r/s of
+        (x_i - d)/c = p/q, in lowest terms with q > 0, r^e = |p| and s^e = q;
+        every sign of an even root, with the all-positive parent last.  The
+        parent (L : r_1*L/s_1 : ...), L the lcm of the s_i, is canonical."""
         diag = []
         for i, comp in enumerate(self.components):
             terms = dict(comp.terms)
@@ -479,14 +476,18 @@ class PolyTupleMap(_MapKind):
             diag.append((cd * dd, cd * shift.numerator, coeff.numerator * dd, exps[i]))
 
         def preimage(coords):
-            if len(coords) != len(diag) + 1:
-                return ()
             den, roots = coords[0], []
-            for (a, b, c, exponent), num in zip(diag, coords[1:]):
-                roots.append(_rational_roots(Fraction(num * a - den * b, den * c), exponent))
-                if not roots[-1]:
+            for (a, b, c, e), num in zip(diag, coords[1:]):
+                p, q = num * a - den * b, den * c
+                g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+                p, q = p // g, q // g
+                r, s = _floor_root(abs(p), e), _floor_root(q, e)
+                if r**e != abs(p) or s**e != q or p < 0 and e % 2 == 0:
                     return ()
-            return tuple(map(_affine_tuple, itertools.product(*roots)))
+                roots.append(((-r,) if p < 0 else (-r, r) if r and e % 2 == 0 else (r,), s))
+            lcm = math.lcm(*(s for _, s in roots))
+            scaled = [tuple(r * (lcm // s) for r in signed) for signed, s in roots]
+            return tuple((lcm,) + nums for nums in itertools.product(*scaled))
 
         return preimage
 
@@ -616,6 +617,13 @@ def _height_loss(forms: Sequence[Polynomial]) -> Optional[int]:
                for solution in solutions)
 
 
+def _homogenized(polys: Sequence[Polynomial], d: int) -> tuple[Polynomial, ...]:
+    """The integer forms L*x_0^d*F(x/x_0), L the lcm of every coefficient denominator."""
+    lcm = math.lcm(*(c.denominator for f in polys for _, c in f.terms))
+    return tuple(Polynomial(f.nvars + 1, [((d - sum(e),) + e, lcm * c) for e, c in f.terms])
+                 for f in polys)
+
+
 def _forms_image(forms: Sequence[Polynomial]) -> Callable:
     """Integer forms as an image closure on canonical integer tuples."""
     return lambda coords: _proj_canonical(tuple(f.evaluate_int(coords) for f in forms))
@@ -733,12 +741,21 @@ MAP_KINDS = {cls.kind: cls for cls in get_args(SimilarityMap)}
 # ---------------------------------------------------------------------------
 
 
+def has_other_arity(maps: Sequence, point: SpacePoint) -> bool:
+    """Whether a point of a tuple space has a coordinate count unlike the maps' on its space."""
+    space = point_space(point)
+    return space.tuples and any(
+        m.nvars() != len(point.coords) for m in maps if m.space == space.name)
+
+
 def _map_space(map_: SimilarityMap, point: SpacePoint) -> Space:
     space = point_space(point)
     if map_.space != space.name:
         raise SpaceMismatchError(
             f"map on {map_.space!r} applied to point in {space.name!r}"
         )
+    if has_other_arity((map_,), point):
+        raise ConfigError(f"{point} has {len(point.coords)} coordinates, unlike the map")
     return space
 
 
@@ -746,20 +763,6 @@ def apply(map_: SimilarityMap, point: SpacePoint) -> SpacePoint:
     """Exact image of a point, canonicalized."""
     space = _map_space(map_, point)
     return space.to_point(map_.image_fn()(space.payload(point)))
-
-
-def _rational_roots(value: Fraction, degree: int) -> tuple:
-    """Every rational degree-th root of a rational, the positive one last."""
-    if degree == 1:
-        return (value,)
-    num, den = abs(value.numerator), value.denominator
-    top, bottom = _floor_root(num, degree), _floor_root(den, degree)
-    if top**degree != num or bottom**degree != den or value < 0 and degree % 2 == 0:
-        return ()
-    root = Fraction(top, bottom)
-    if degree % 2:
-        return (-root,) if value < 0 else (root,)
-    return (-root, root) if root else (root,)
 
 
 def _floor_root(n: int, k: int) -> int:
@@ -835,7 +838,6 @@ def validate_system(system: FractalSystem) -> list[Violation]:
     if system.space == "ec" and system.curve is None:
         violations.append(Violation("MissingCurve", "system", -1, "ec system needs a curve"))
 
-    maps = [m for m in system.maps if m.space == system.space]
     for i, map_ in enumerate(system.maps):
         if map_.space != system.space:
             message = f"map {i} lives on {map_.space!r}, system on {system.space!r}"
@@ -858,7 +860,7 @@ def validate_system(system: FractalSystem) -> list[Violation]:
         if seed_space is not space:
             message = f"seed {j} lives in {seed_space.name!r}"
             violations.append(Violation("SpaceMismatch", "seed", j, message))
-        elif space.tuples and any(m.nvars() != len(seed.coords) for m in maps):
+        elif has_other_arity(system.maps, seed):
             message = f"seed {j} has {len(seed.coords)} coordinates, unlike the maps"
             violations.append(Violation("BadArity", "seed", j, message))
         elif system.space == "ec" and system.curve and not system.curve.contains(seed):

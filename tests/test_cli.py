@@ -105,6 +105,13 @@ def test_member_certificate(tmp_path, capsys):
     assert "not a member" in out
 
 
+@pytest.mark.parametrize("system, point", [(Q2, "1/2"), (P1, "(1:2:3)")])
+def test_member_query_of_other_arity_exits_2(tmp_path, capsys, system, point):
+    code, out, err = run(["--out-dir", str(tmp_path), "member", system, point], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error[ConfigParse]: ") and "coordinates, unlike the maps" in err
+
+
 def test_audit_json(tmp_path, capsys):
     code, out, _ = run(
         ["--out-dir", str(tmp_path), "audit", DIGITS01, "--bound", "1e6"], capsys

@@ -315,12 +315,16 @@ def test_member_agrees_with_enumeration_window(digits012):
             assert replay_certificate(digits012, result) == IntPoint(m)
 
 
-def test_member_point_of_other_arity(q2_powers2):
-    # (1,1,1) is no point of the plane; descent must not drop its last
-    # coordinate and certify the seed (1,1).
-    three = AffPoint((Fraction(1), Fraction(1), Fraction(1)))
-    assert not is_member(q2_powers2, three).member
-    assert not is_member(q2_powers2, AffPoint((Fraction(4), Fraction(16), Fraction(5)))).member
+def test_member_point_of_other_arity(q2_powers2, p1_doubling):
+    # (1,1,1) and 1/2 are no points of the plane.  is_member refuses them as
+    # validation refuses such a seed, so the descent never drops a coordinate
+    # and certifies the seed (1,1).
+    for point in (AffPoint((Fraction(1),) * 3), AffPoint((Fraction(4), Fraction(16), Fraction(5))),
+                  AffPoint((Fraction(1, 2),))):
+        with pytest.raises(ConfigError, match="coordinates, unlike the maps"):
+            is_member(q2_powers2, point)
+    with pytest.raises(ConfigError, match="coordinates, unlike the maps"):
+        is_member(p1_doubling, ProjPoint((1, 2, 3)))
 
 
 def diagonal_map(*terms):
@@ -344,6 +348,64 @@ def test_member_through_negative_parent():
         result = is_member(system, entry.point)
         assert result.member and replay_certificate(system, result) == entry.point
     assert is_member(system, AffPoint((Fraction(3),))).path == (0, 1)
+
+
+def _fraction_roots(value, degree):
+    """Every rational degree-th root of a rational, the positive one last."""
+    if degree == 1:
+        return (value,)
+    num, den = abs(value.numerator), value.denominator
+    top, bottom = spaces._floor_root(num, degree), spaces._floor_root(den, degree)
+    if top**degree != num or bottom**degree != den or value < 0 and degree % 2 == 0:
+        return ()
+    root = Fraction(top, bottom)
+    if degree % 2:
+        return (-root,) if value < 0 else (root,)
+    return (-root, root) if root else (root,)
+
+
+def _fraction_preimage(map_, point):
+    """The parents of a point under a tuple of c*x_i^e + d, by roots of
+    (x_i - d)/c in Fractions, as canonical payloads in product order."""
+    roots = []
+    for i, (comp, x) in enumerate(zip(map_.components, point.coords)):
+        terms = dict(comp.terms)
+        shift = terms.pop((0,) * comp.nvars, 0)
+        ((exps, coeff),) = terms.items()
+        roots.append(_fraction_roots((x - shift) / coeff, exps[i]))
+    return tuple(SPACES["affq"].payload(AffPoint(p)) for p in itertools.product(*roots))
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+_NONZERO = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)).flatmap(
+    lambda c: st.sampled_from([c, -c]))
+# (c, e, d): e in {1, 2, 3}, with a shift d only where e = 1.
+_DIAGONAL_TERMS = st.tuples(_NONZERO, st.integers(1, 3), _RATIONALS).map(
+    lambda t: t if t[1] == 1 else (t[0], t[1], Fraction(0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(_DIAGONAL_TERMS, min_size=n, max_size=n),
+    st.lists(_RATIONALS, min_size=n, max_size=n),
+    st.lists(_RATIONALS, min_size=n, max_size=n))))
+@example(([(Fraction(2), 2, Fraction(0)), (Fraction(-1, 3), 3, Fraction(0))],
+          [Fraction(1, 2), Fraction(-2, 3)], [Fraction(8), Fraction(0)]))
+def test_integer_preimage_matches_fraction_roots(case):
+    # The preimage closure works on the integer tuple (den : num_1 : ...); the
+    # reference takes Fraction roots.  Each query is drawn twice: the image of
+    # a drawn parent, which has parents, and a drawn point, which may have none.
+    terms, parent, drawn = case
+    n = len(terms)
+    map_ = PolyTupleMap(tuple(
+        Polynomial(n, [(tuple(e if j == i else 0 for j in range(n)), c), ((0,) * n, d)])
+        for i, (c, e, d) in enumerate(terms)
+    ))
+    preimage = map_.preimage_fn()
+    for point in (apply(map_, AffPoint(tuple(parent))), AffPoint(tuple(drawn))):
+        parents = preimage(SPACES["affq"].payload(point))
+        assert parents == _fraction_preimage(map_, point)
+        assert all(SPACES["affq"].canonical(p) == p for p in parents)
 
 
 def _diagonal_systems(coeffs, top):
@@ -1334,6 +1396,36 @@ def test_intersection_hyperbola(q2_powers2):
     probe = curve_intersection_probe(q2_powers2, curve, [4, 256, 4096])
     assert probe.counts == (1, 1, 1)
     assert probe.stabilized
+
+
+@pytest.mark.parametrize("nvars, text", [
+    (2, "x1 + x2 - 6"), (2, "x1/2 - x2/8"), (2, "x1^2/3 - 4*x2/3"), (2, "x1^3/5 - x2^2/5"),
+    (2, "3/4"), (1, "x1 - 3/16"), (1, "16*x1^2/3 - 1/3"), (1, "x1^3 + 1/2"),
+])
+def test_intersection_matches_fraction_evaluation(q2_powers2, nvars, text):
+    # On A^1 the orbit of 1/2 under {x^2, 3x^2/4} has denominators: 1/4, 3/16, 27/1024, ...
+    line = (diagonal_map((1, 2)), diagonal_map((Fraction(3, 4), 2)))
+    system = q2_powers2 if nvars == 2 else FractalSystem("affq", line, (AffPoint((Fraction(1, 2),)),))
+    curve = parse_polynomial(text, nvars)
+    bag = enumerate_system(system, 4096)
+    brute = tuple(e.point for e in bag.entries if curve.evaluate(e.point.coords) == 0)
+    assert brute or text in ("3/4", "x1^3 + 1/2")
+    probe = curve_intersection_probe(system, curve, [16, 4096])
+    assert probe.hits_per_bound[-1] == brute
+    assert probe.hits_per_bound[0] == tuple(p for p in brute if max(
+        abs(c) for c in SPACES["affq"].payload(p)) <= 16)
+
+
+def test_intersection_curve_of_other_arity(q2_powers2):
+    # The arity is checked after validation, so a system with no maps is a
+    # NoMaps ConfigError and not an IndexError.
+    with pytest.raises(ConfigError, match="curve in 1 variables, maps in 2"):
+        curve_intersection_probe(q2_powers2, parse_polynomial("x1 - 2", 1), [16])
+    with pytest.raises(ConfigError, match="curve in 3 variables"):
+        curve_intersection_probe(q2_powers2, parse_polynomial("x1 - x3", 3), [16])
+    no_maps = FractalSystem("affq", (), (AffPoint((Fraction(1),)),))
+    with pytest.raises(ConfigError, match="NoMaps"):
+        curve_intersection_probe(no_maps, parse_polynomial("x1 - 2", 1), [16])
 
 
 def test_intersection_requires_affine(z_binary):

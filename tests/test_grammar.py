@@ -3,7 +3,8 @@
 pyproject.toml allows Python 3.10, so syntax added after it (``except*``,
 type parameter lists, ...) must not appear in the package, its tests or
 the benchmark harness, whatever interpreter runs this check.  Every name
-a package module or a test module imports is used there.
+a package module or a test module imports is used there, and every
+function the package defines is named somewhere in the package or its tests.
 """
 
 import ast
@@ -35,3 +36,20 @@ def test_package_modules_use_every_name_they_import():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def test_package_functions_are_named_elsewhere():
+    # No linter is a dependency, so this is the dead-code check: a function or
+    # method that no call, reference or attribute in src/ or tests/ names is
+    # dead.  Dunders are named by Python itself.
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = {node.name for path, tree in trees.items() if "arithfractal" in path.parts
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    assert {"counting_function", "preimage_fn", "evaluate"} <= defined
+    assert not defined - named, f"functions no code names: {sorted(defined - named)}"

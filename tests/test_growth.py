@@ -4,6 +4,9 @@ import pytest
 
 from arithfractal import (
     CountTable,
+    FractalSystem,
+    IntAffineMap,
+    IntPoint,
     counting_function,
     dimension_equation,
     enumerate_system,
@@ -51,6 +54,16 @@ def test_grid_exceeding_bound_rejected(digits01):
     bag = enumerate_system(digits01, 100)
     with pytest.raises(GridExceedsBoundError):
         counting_function(bag, [1000])
+
+
+def test_counting_function_counts_sizes_past_the_float_range():
+    # Four of the seven sizes, 10^310 + 1 and up, have no float; N(x) counts
+    # the exact ints against the grid, which the bound 10^311 admits whole.
+    big = 10**310
+    system = FractalSystem("int", (IntAffineMap(big, 1), IntAffineMap(big, 2)), (IntPoint(0),))
+    bag = enumerate_system(system, 10 * big)
+    assert bag.raw_sizes() == [0, 1, 2, big + 1, big + 2, 2 * big + 1, 2 * big + 2]
+    assert counting_function(bag, [0, 1, 2, 1e308]).counts == (1, 2, 3, 3)
 
 
 def test_fit_exact_power_law():

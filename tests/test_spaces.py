@@ -27,6 +27,7 @@ from arithfractal import (
 )
 from arithfractal.corpus import corpus_names
 from arithfractal.errors import (
+    ConfigError,
     SpaceMismatchError,
     UnsupportedMapKindError,
     ZeroProjectivePointError,
@@ -118,6 +119,17 @@ def test_preimage_monomial_tuple():
     point = apply(f2, AffPoint((Fraction(2), Fraction(3))))
     assert preimage(f2, point) == AffPoint((Fraction(2), Fraction(3)))
     assert preimage(f2, AffPoint((Fraction(3), Fraction(1)))) is None
+
+
+def test_apply_and_preimage_refuse_a_point_of_other_arity():
+    # zip would pair the map's variables with a prefix of the coordinates.
+    f2 = load_corpus_system("q2-powers2").maps[1]
+    doubling = load_corpus_system("p1-doubling").maps[0]
+    for map_, point in ((f2, AffPoint((Fraction(4),))), (f2, AffPoint((Fraction(1),) * 3)),
+                        (doubling, ProjPoint((1, 2, 3)))):
+        for function in (apply, preimage):
+            with pytest.raises(ConfigError, match="coordinates, unlike the map"):
+                function(map_, point)
 
 
 def test_preimage_unsupported_for_projective():
