@@ -40,9 +40,10 @@ from .enumeration import (
 )
 from .errors import ArithFractalError, ConfigError, PointNotOnCurveError
 from .growth import counting_function, fit_growth_exponent, geometric_grid, lemma_bound_check
-from .heights import projective_census, schanuel_prediction, size_of
+from .heights import _log, projective_census, schanuel_prediction, size_of
 from .polynomials import parse_polynomial, parse_rational
 from .spaces import (
+    SPACES,
     FractalSystem,
     load_system,
     parse_point,
@@ -152,18 +153,26 @@ def _cmd_dim(args, out_dir: Path) -> list[str]:
     return ["dim.json"]
 
 
+def _point_rows(records, literal):
+    """CSV rows of sorted (size, payload, depth) records, with the cells of
+    fmt(): csv writes ints with str(), and a log size is a float.  The
+    records come sorted by size, so each log is taken once per size."""
+    last_size, log_text = None, ""
+    for size, payload, depth in records:
+        if size != last_size:
+            last_size, log_text = size, f"{_log(size):.15g}"
+        yield literal(payload), size, log_text, depth
+
+
 def _cmd_enumerate(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
     bag = enumerate_system(system, args.bound, args.max_points)
     out = _out(args, out_dir, "points.csv")
-    # Streams the rows with the cell formatting of fmt() inlined: csv writes
-    # ints with str(), and log sizes are always floats.
+    # Streams the rows from the sorted records; builds no point or entry.
     with open(out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["point", "size", "log_size", "depth"])
-        writer.writerows(
-            (str(p), sz.raw, f"{sz.log_size:.15g}", d) for p, sz, d in bag.entries
-        )
+        writer.writerows(_point_rows(bag.entries.records, SPACES[system.space].literal))
     print(f"{len(bag)} points up to size {bag.bound} (truncated: {bag.truncated})")
     print(f"wrote {out}")
     return [str(out)]

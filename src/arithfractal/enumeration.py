@@ -55,25 +55,26 @@ class BagEntry(NamedTuple):
 
 
 class _Entries(Sequence):
-    """Read-only view of sorted bag records; builds each entry when read."""
+    """Read-only view of sorted bag records; builds each entry when read.
+    ``records`` are the sorted ``(size, payload, depth)`` records themselves."""
 
     def __init__(self, records: list, to_point):
-        self._records, self._to_point = records, to_point
+        self.records, self._to_point = records, to_point
 
     def _entry(self, record) -> BagEntry:
         size, payload, depth = record
         return BagEntry(self._to_point(payload), SizeValue(size, _log(size)), depth)
 
     def __len__(self):
-        return len(self._records)
+        return len(self.records)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(map(self._entry, self._records[index]))
-        return self._entry(self._records[index])
+            return list(map(self._entry, self.records[index]))
+        return self._entry(self.records[index])
 
     def __iter__(self):
-        return map(self._entry, self._records)
+        return map(self._entry, self.records)
 
     def __eq__(self, other):
         if not isinstance(other, (list, _Entries)):
@@ -86,9 +87,10 @@ class PointBag:
 
     The bag holds one ``(size, payload, depth)`` record per point, in
     discovery order, and never rewrites them.  ``entries`` and ``points``
-    sort a copy by size, then payload under the space's ``sort_key`` (point
-    order), so a bag at a smaller bound is a prefix of the bag at a larger
-    one.  Sizes and membership read the records and build no point.
+    sort a copy by size, then payload under the key that the space's
+    ``sort_key`` builds from the bound (point order), so a bag at a smaller
+    bound is a prefix of the bag at a larger one.  Sizes and membership read
+    the records and build no point.
     """
 
     def __init__(self, label, space, bound, size_kind, records, to_point, truncated):
@@ -99,8 +101,8 @@ class PointBag:
         self.truncated = truncated
         self._items = records
         self._to_point = to_point
-        sort_key = SPACES[space].sort_key
-        self._key = None if sort_key is None else lambda r: (r[0], sort_key(r[1]))
+        key = SPACES[space].sort_key(bound)
+        self._key = None if key is None else lambda r: (r[0], key(r[1]))
 
     def __len__(self):
         return len(self._items)
@@ -157,7 +159,7 @@ def _raw_orbit(
     counts: Optional[dict] = None,
 ) -> tuple[list, bool]:
     """BFS closure on payloads: (size, payload, depth) records in discovery
-    order; a generation that a cut may reach is expanded in ``sort_key`` order.
+    order; a generation that a cut may reach is expanded in point order.
 
     When a ``counts`` dict is supplied, every repeat hit is tallied there:
     an in-bound image that is already a seed or already discovered.  A
@@ -178,12 +180,13 @@ def _raw_orbit(
     depth = 0
     truncated = False
     map_count = len(images)
+    order = space.sort_key(bound_int)
     while frontier and not truncated:
         depth += 1
         # Intra-generation order only matters when a truncation cut could
         # land in this generation; the final sort fixes the order otherwise.
         if len(records) + map_count * len(frontier) >= max_points:
-            frontier.sort(key=space.sort_key)
+            frontier.sort(key=order)
         next_frontier = []
         seen_add = seen.add
         rec_append = records.append
@@ -439,7 +442,7 @@ def audit_exactness(
         covered_count = total_points - len(seed_payloads) + seeds_hit
         overlap_payloads = sorted(
             (p for p, c in counts.items() if c >= 2 or p not in seed_payloads),
-            key=space.sort_key,
+            key=space.sort_key(bound_int),
         )
         uncovered_count = 0
         uncovered_payloads: list = []
@@ -470,7 +473,9 @@ def audit_exactness(
                 if size(p) <= bound_int:
                     counts[p] = counts.get(p, 0) + 1
         covered_count = len(counts)
-        overlap_payloads = sorted((p for p, c in counts.items() if c >= 2), key=space.sort_key)
+        overlap_payloads = sorted(
+            (p for p, c in counts.items() if c >= 2), key=space.sort_key(bound_int)
+        )
         uncovered_count = total_points - covered_count
         uncovered_payloads = heapq.nsmallest(
             max_listed, (p for p in space.window(bound_int, seeds) if p not in counts)

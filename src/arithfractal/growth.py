@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 import statistics
+import sys
 from typing import NamedTuple, Optional, Sequence
 
 from .enumeration import PointBag
@@ -46,34 +47,42 @@ def counting_function(
 
     For projective and affine bags the natural size is the logarithmic
     height, so the grid is read in log units there by default; integer and
-    Gaussian bags count by raw size.
+    Gaussian bags count by raw size.  The grid is kept as given: a raw size
+    and a grid point, int or float, compare exactly, past the float range
+    too; log sizes and log grid points compare within 1e-12.
     """
-    grid = [float(x) for x in grid]
+    grid = list(grid)
     if any(b > a for a, b in zip(grid[1:], grid)):
         raise GridExceedsBoundError("grid must be nondecreasing")
     if use_log_sizes is None:
         use_log_sizes = bag.size_kind == "height"
     if use_log_sizes:
-        sizes, limit = bag.log_sizes(), bag.max_log_bound()
+        sizes, limit, slack = bag.log_sizes(), bag.max_log_bound(), 1e-12
+        over = grid and grid[-1] - 1e-9 > limit
     else:
-        # Exact ints: float and int compare exactly, past the float range too.
-        sizes, limit = bag.raw_sizes(), bag.bound
-    if grid and grid[-1] - 1e-9 > limit:
+        sizes, limit, slack = bag.raw_sizes(), bag.bound, 0
+        over = grid and grid[-1] > limit
+    if over:
         raise GridExceedsBoundError(
             f"grid point {grid[-1]} exceeds the bag bound {limit}"
         )
-    counts = tuple(bisect.bisect_right(sizes, x + 1e-12) for x in grid)
+    counts = tuple(bisect.bisect_right(sizes, x + slack) for x in grid)
     kind = "log-height" if use_log_sizes else bag.size_kind
     return CountTable(tuple(grid), counts, kind)
 
 
 def geometric_grid(start: float, stop: float, factor: float) -> list[float]:
+    """The floats start, start*factor, ... up to stop, which may be an int
+    past the float range.  A point past stop by rounding alone, 1e-12
+    relative, is stop as a float: repeated products of 10.0 overshoot
+    10^49 so.  Past the float range no finite float comes near stop."""
     if start <= 0 or factor <= 1 or stop < start:
         raise GridExceedsBoundError("need 0 < start <= stop and factor > 1")
+    top = stop * (1 + 1e-12) if stop <= sys.float_info.max else stop
     grid = []
     x = float(start)
-    while x <= stop * (1 + 1e-12):
-        grid.append(min(x, stop))
+    while x <= top and x < math.inf:
+        grid.append(x if x <= stop else float(stop))
         x *= factor
     return grid
 

@@ -14,14 +14,17 @@ the library a point travels as a light payload: an int, an (re, im) pair,
 a canonical tuple of integers (on affq that of the point (1 : x) of P^n),
 or the ECPoint itself.  The entry converts payloads to and from the
 wrapper point classes, puts a payload in canonical form, gives its exact
-size and the kind of that size, reads its JSON value and its command-line
-literal and writes its JSON value, and streams the ambient window of the
-exactness audit.  A window is a lazy iterable, made afresh on each call: ``range`` on
-Z, rows of a disc on Z[i], and (0:1), (1:0), then (a:b), (a:-b) by rising
-a and b on P^1.  The window at a smaller bound lists exactly the points of
-that size, in the same relative order.  ``point_space`` is the one lookup
-from a point's type to its entry.  Listings order points by size, then by
-point, a payload by its ``sort_key`` (None where it sorts like its point).
+size and the kind of that size, reads and writes its JSON value and its
+command-line literal, and streams the ambient window of the exactness audit.
+``literal`` is the inverse of ``parse``; a point's ``str`` is its literal,
+so each literal format is written once.  A window is a lazy iterable, made
+afresh on each call: ``range`` on Z, rows of a disc on Z[i], and (0:1),
+(1:0), then (a:b), (a:-b) by rising a and b on P^1.  The window at a
+smaller bound lists exactly the points of that size, in the same relative
+order.  ``point_space`` is the one lookup from a point's type to its entry.
+Listings order points by size, then by point: ``sort_key`` builds, from a
+bound, an integer key in point order on the payloads of at most that size,
+or None where a payload sorts like its point.
 
 Each map kind is likewise written once, as one class: ``image_fn`` and
 ``preimage_fn`` compile a map into closures on payloads, which ``apply``,
@@ -69,34 +72,35 @@ from .polynomials import (
 # ---------------------------------------------------------------------------
 
 
+def _literal(point) -> str:
+    """A point's command-line literal: its space's ``literal`` of its payload."""
+    space = _SPACE_OF_TYPE[type(point)]
+    return space.literal(space.payload(point))
+
+
 class IntPoint(NamedTuple):
     value: int
 
-    def __str__(self):
-        return str(self.value)
+    __str__ = _literal
 
 
 class GaussPoint(NamedTuple):
     re: int
     im: int
 
-    def __str__(self):
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+    __str__ = _literal
 
 
 class AffPoint(NamedTuple):
     coords: tuple[Fraction, ...]
 
-    def __str__(self):
-        return "(" + ",".join(format_rational(c) for c in self.coords) + ")"
+    __str__ = _literal
 
 
 class ProjPoint(NamedTuple):
     coords: tuple[int, ...]
 
-    def __str__(self):
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
+    __str__ = _literal
 
 
 SpacePoint = Union[IntPoint, GaussPoint, AffPoint, ProjPoint, ECPoint]
@@ -148,6 +152,32 @@ def _affine_tuple(coords: Sequence) -> tuple:
 def _affine_point(t: tuple) -> AffPoint:
     """The affine point x of the canonical tuple (den : num_1 : ...) of (1 : x)."""
     return AffPoint(tuple(Fraction(c, t[0]) for c in t[1:]))
+
+
+def _affine_texts(t: tuple) -> list[str]:
+    """The coordinates num_i / den of a canonical tuple as "p/q" or "p" in
+    lowest terms, as ``format_rational`` writes them; den > 0 builds no Fraction."""
+    den = t[0]
+    texts = []
+    for num in t[1:]:
+        g = math.gcd(num, den)
+        texts.append(str(num // g) if g == den else f"{num // g}/{den // g}")
+    return texts
+
+
+def _affine_key(bound: int) -> Callable:
+    """Point order on canonical tuples of size <= bound, in integers: each
+    num_i / den becomes floor(num_i * M / den) with M = bound^2 + 1.  Two
+    distinct rationals with denominators <= bound differ by at least
+    1/bound^2, so M times them differ by more than 1 and their floors differ
+    the same way."""
+    m = bound * bound + 1
+    return lambda t: tuple([num * m // t[0] for num in t[1:]])
+
+
+def _gauss_literal(p) -> str:
+    x, y = p
+    return f"{x}+{y}i" if y >= 0 else f"{x}{y}i"
 
 
 def _ec_size(point: ECPoint) -> int:
@@ -249,31 +279,35 @@ class Space(NamedTuple):
     from_json: Callable  # JSON value -> payload
     to_json: Callable  # payload -> JSON value
     parse: Callable  # stripped command-line literal -> payload
+    literal: Callable  # payload -> command-line literal, the inverse of parse
     tuples: bool = False  # payloads are coordinate tuples of the maps' arity
     window: Optional[Callable] = None  # (bound, seed payloads) -> lazy ambient audit window
-    sort_key: Optional[Callable] = None  # payload -> key in point order; None: the payload's own
+    # bound -> key in point order on payloads of size <= bound; None: the payload's own
+    sort_key: Callable = lambda bound: None
 
 
 SPACES = {
     s.name: s
     for s in (
         Space("int", IntPoint, IntPoint, attrgetter("value"), _identity, abs, "abs",
-              _parse_int, str, _parse_int, window=_int_window),
+              _parse_int, str, _parse_int, str, window=_int_window),
         Space("gauss", GaussPoint, lambda p: GaussPoint(*p), tuple, _identity,
               gauss_norm, "norm", _parse_gauss, _gauss_to_json, _parse_gauss_literal,
-              window=_gauss_window),
+              _gauss_literal, window=_gauss_window),
         Space("affq", AffPoint, _affine_point,
               lambda p: _affine_tuple([Fraction(c) for c in p.coords]), _proj_canonical,
-              _max_abs, "height", _rationals,
-              lambda t: [format_rational(Fraction(c, t[0])) for c in t[1:]],
-              lambda t: _rationals(t.strip("()").split(",")), tuples=True,
-              sort_key=_affine_point),
+              _max_abs, "height", _rationals, _affine_texts,
+              lambda t: _rationals(t.strip("()").split(",")),
+              lambda t: "(" + ",".join(_affine_texts(t)) + ")", tuples=True,
+              sort_key=_affine_key),
         Space("projq", ProjPoint, ProjPoint, attrgetter("coords"), _proj_canonical,
               _max_abs, "height", _ints, lambda coords: [str(c) for c in coords],
-              lambda t: _ints(t.strip("()").split(":")), tuples=True, window=_proj_window),
+              lambda t: _ints(t.strip("()").split(":")),
+              lambda coords: "(" + ":".join(map(str, coords)) + ")", tuples=True,
+              window=_proj_window),
         Space("ec", ECPoint, _identity, _identity, _identity, _ec_size, "height",
               _ec_from_json, _ec_to_json,
-              lambda t: _ec_from_json(t if t == "inf" else t.strip("()").split(","))),
+              lambda t: _ec_from_json(t if t == "inf" else t.strip("()").split(",")), str),
     )
 }
 

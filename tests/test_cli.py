@@ -72,28 +72,71 @@ def test_enumerate_writes_csv(tmp_path, capsys):
     assert lines[1].startswith("0,0,0,0")
 
 
-@pytest.mark.parametrize(
-    "name, bound",
-    [("digits01", "1e6"), ("gauss-base", "4096"), ("p1-powers2-full", "4096"),
-     ("q2-powers2", "256")],
-)
-def test_enumerate_csv_matches_fmt_rows(tmp_path, capsys, name, bound):
+def _term(coeff, exponents):
+    return {"coeff": coeff, "exponents": exponents}
+
+
+# Documents written next to the output; every other name is a corpus system.
+_CSV_DOCS = {
+    # {x -> -2x, x -> -2x + 1} from 0 reaches the negative integers too.
+    "negabinary": {"space": "int", "label": "negabinary", "seeds": ["0"], "maps": [
+        {"kind": "int_affine", "a": "-2", "b": "0"},
+        {"kind": "int_affine", "a": "-2", "b": "1"}]},
+    # Odd powers and negative coefficients keep both signs in both coordinates.
+    "affq-signed": {"space": "affq", "label": "affq-signed",
+                    "seeds": [["-1/2", "2/3"], ["3/4", "-5/3"], ["-2", "1/3"]], "maps": [
+        {"kind": "poly_tuple", "components": [[_term("-1", [3, 0])], [_term("1/2", [0, 3])]]},
+        {"kind": "poly_tuple", "components": [
+            [_term("1", [2, 0]), _term("-1", [1, 0])],
+            [_term("-2", [0, 2]), _term("1", [0, 0])]]}]},
+}
+
+
+@pytest.mark.parametrize("name, bound, max_points", [
+    pytest.param("digits01", "1e6", None, id="digits01-1e6"),
+    pytest.param("gauss-base", "4096", None, id="gauss-base-4096"),
+    pytest.param("p1-powers2-full", "4096", None, id="p1-powers2-full-4096"),
+    pytest.param("q2-powers2", "256", None, id="q2-powers2-256"),
+    pytest.param("ec-37a", "1e30", None, id="ec-37a-1e30"),
+    pytest.param("z-2x3x", "1e12", None, id="z-2x3x-1e12"),
+    pytest.param("negabinary", "1000", None, id="negabinary-1000"),
+    # Generations 0-9 hold 512 points and generation 10 another 512: the cut
+    # at 700 lands inside it.
+    pytest.param("gauss-base", "4096", 700, id="gauss-base-4096-max700"),
+    pytest.param("affq-signed", "1e12", None, id="affq-signed-1e12"),
+])
+def test_enumerate_csv_matches_fmt_rows(tmp_path, capsys, name, bound, max_points):
     # The streamed writer must give the bytes of the fmt()-per-cell rows.
-    system_path = str(corpus_path(name))
+    if name in _CSV_DOCS:
+        system_path = tmp_path / f"{name}.json"
+        system_path.write_text(json.dumps(_CSV_DOCS[name]))
+    else:
+        system_path = corpus_path(name)
     out_file = tmp_path / "pts.csv"
-    code, _, _ = run(
-        ["--out-dir", str(tmp_path), "enumerate", system_path, "--bound", bound,
-         "--out", str(out_file)],
+    cut = [] if max_points is None else ["--max-points", str(max_points)]
+    code, out, _ = run(
+        ["--out-dir", str(tmp_path), "enumerate", str(system_path), "--bound", bound,
+         "--out", str(out_file)] + cut,
         capsys,
     )
     assert code == 0
-    bag = enumerate_system(load_system(system_path), float(bound))
+    bag = enumerate_system(load_system(system_path), float(bound), max_points or 10**7)
+    assert f"(truncated: {max_points is not None})" in out
     rows = [[str(e.point), e.size.raw, e.size.log_size, e.depth] for e in bag.entries]
     expected = tmp_path / "expected.csv"
     _write_csv(expected, ["point", "size", "log_size", "depth"], rows)
     assert out_file.read_bytes() == expected.read_bytes()
+    text = out_file.read_text()
     if name == "q2-powers2":
-        assert '"(2,4)",' in out_file.read_text()  # affine points quote their commas
+        assert '"(2,4)",' in text  # affine points quote their commas
+    elif name == "negabinary":
+        assert "\n-2,2,0.693147180559945,2\n" in text
+    elif name == "affq-signed":
+        assert '\n"(-1/2,2/3)",' in text and '"(-2,1/3)",' in text
+    elif name == "ec-37a":
+        assert "\n\"(21/25,-69/125)\"," in text
+    elif max_points is not None:
+        assert len(bag) == max_points and max(e.depth for e in bag.entries) == 10
 
 
 def test_member_certificate(tmp_path, capsys):

@@ -467,6 +467,25 @@ def test_images_of_members_are_members_where_heights_drop(system):
             assert result.member and replay_certificate(system, result) == image
 
 
+@settings(max_examples=60, deadline=None)
+@given(_diagonal_systems([-3, -2, 2, 3, Fraction(1, 2), Fraction(-1, 3)], 4), st.integers(3, 40))
+def test_affq_integer_order_matches_fraction_order(system, max_points):
+    # The integer key floor(num*M/den), M = B^2 + 1, must sort as the
+    # rationals do: in the sorted bag, and in a generation that a cut lands
+    # in, where the order picks the points that are kept.
+    space = SPACES["affq"]
+    bound = max(10**4, *(space.size(space.payload(s)) for s in system.seeds))
+    by_int = enumerate_system(system, bound, max_points)
+    with pytest.MonkeyPatch.context() as patch:
+        fraction_order = space._replace(sort_key=lambda b: spaces._affine_point)
+        patch.setitem(SPACES, "affq", fraction_order)
+        patch.setitem(spaces._SPACE_OF_TYPE, AffPoint, fraction_order)
+        by_fraction = enumerate_system(system, bound, max_points)
+        fraction_entries = list(by_fraction.entries)
+    assert by_int.truncated == by_fraction.truncated
+    assert list(by_int.entries) == fraction_entries
+
+
 def test_member_whose_certificate_passes_above_the_query():
     # Under g = (x1^2, 4*x2) the height of (1, 1/4) drops from 4 to that of
     # (1, 1).  The only path from the seed (1, 1/2) to (1, 1) runs through

@@ -66,6 +66,36 @@ def test_counting_function_counts_sizes_past_the_float_range():
     assert counting_function(bag, [0, 1, 2, 1e308]).counts == (1, 2, 3, 3)
 
 
+def test_grid_past_the_float_range():
+    # 10^311 has no float: the grid stops at the last float product below it,
+    # and an int grid point counts exactly.
+    assert geometric_grid(4, 10**311, 1e100) == [4.0, 4e100, 4e200, 4e300]
+    big = 10**310
+    system = FractalSystem("int", (IntAffineMap(big, 1), IntAffineMap(big, 2)), (IntPoint(0),))
+    bag = enumerate_system(system, 10 * big)
+    assert counting_function(bag, [10**311]).counts == (7,)
+    assert counting_function(bag, [big + 1, 2 * big + 1]).counts == (4, 6)
+    with pytest.raises(GridExceedsBoundError):
+        counting_function(bag, [10**311 + 1])
+
+
+def test_int_grid_point_without_a_float_counts_exactly():
+    # float(2^54 + 3) is 2^54 + 4, above the bound.
+    system = FractalSystem(
+        "int", (IntAffineMap(2**54, 3), IntAffineMap(2**54, 5)), (IntPoint(1),))
+    bag = enumerate_system(system, 2**54 + 3)
+    assert bag.raw_sizes() == [1, 2**54 + 3]
+    assert counting_function(bag, [2**54 + 2, 2**54 + 3]).counts == (1, 2)
+
+
+def test_grid_point_past_stop_by_rounding_is_stop():
+    # 10.0 * 10.0 ... reaches 10^49 one rounding above float(10^49); the
+    # grid keeps that point as the bound itself.
+    stop = int(1e49)
+    grid = geometric_grid(10, stop, 10)
+    assert len(grid) == 49 and grid[-1] == 1e49 and all(type(x) is float for x in grid)
+
+
 def test_fit_exact_power_law():
     table = CountTable(tuple(float(2**k) for k in range(1, 11)),
                        tuple(3 * 2**k for k in range(1, 11)), "abs")

@@ -1,8 +1,9 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arithfractal import (
@@ -17,6 +18,7 @@ from arithfractal import (
     ProjPoint,
     apply,
     canonicalize,
+    ec_mul,
     ec_point,
     enumerate_system,
     load_corpus_system,
@@ -32,7 +34,18 @@ from arithfractal.errors import (
     UnsupportedMapKindError,
     ZeroProjectivePointError,
 )
-from arithfractal.spaces import EllTranslateMap, PolyTupleMap, ProjHomogMap, parse_point
+from arithfractal.spaces import (
+    SPACES,
+    EllTranslateMap,
+    PolyTupleMap,
+    ProjHomogMap,
+    _affine_key,
+    _affine_point,
+    _affine_tuple,
+    _max_abs,
+    _proj_canonical,
+    parse_point,
+)
 from arithfractal.polynomials import Polynomial
 
 
@@ -387,6 +400,72 @@ def test_parse_point_literals():
     assert parse_point("-i", "gauss") == GaussPoint(0, -1)
     assert parse_point("2:4", "projq") == ProjPoint((1, 2))
     assert parse_point("1/2,3", "affq") == AffPoint((Fraction(1, 2), Fraction(3)))
+
+
+def test_literals_by_hand():
+    assert [str(GaussPoint(*p)) for p in ((3, -4), (0, 0), (-1, 2))] == ["3-4i", "0+0i", "-1+2i"]
+    assert str(AffPoint((Fraction(-1, 2), Fraction(3), Fraction(0)))) == "(-1/2,3,0)"
+    assert str(ProjPoint((1, -2))) == "(1:-2)" and str(IntPoint(-7)) == "-7"
+    assert SPACES["affq"].to_json((6, -3, 4)) == ["-1/2", "2/3"]
+
+
+_CURVE_37A = Curve.from_coefficients([0, 0, 1, -1, 0])
+# Canonical payloads of each space, built from drawn parts.
+_PAYLOADS = {
+    "int": st.integers(),
+    "gauss": st.tuples(st.integers(), st.integers()),
+    "affq": st.lists(st.fractions(max_denominator=10**12), min_size=1, max_size=4).map(
+        _affine_tuple),
+    "projq": st.lists(st.integers(), min_size=2, max_size=4).filter(any).map(
+        lambda c: _proj_canonical(tuple(c))),
+    "ec": st.integers(-12, 12).map(lambda m: ec_mul(_CURVE_37A, m, ec_point(0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAYLOADS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_literal_is_the_inverse_of_parse(name, data):
+    space = SPACES[name]
+    payload = data.draw(_PAYLOADS[name])
+    assert space.canonical(payload) == payload
+    text = space.literal(payload)
+    assert space.parse(text) == payload
+    assert str(space.to_point(payload)) == text
+
+
+def _order_agrees(payloads, bound):
+    by_int = sorted(payloads, key=_affine_key(bound))
+    assert by_int == sorted(payloads, key=_affine_point)
+    assert len(set(map(_affine_key(bound), payloads))) == len(set(payloads))
+
+
+def test_affq_integer_key_on_every_small_point():
+    for bound in range(1, 13):
+        points = {_proj_canonical((d, n)) for d in range(1, bound + 1)
+                  for n in range(-bound, bound + 1)}
+        _order_agrees(list(points), bound)
+
+
+@given(st.integers(2, 2**80).flatmap(lambda b: st.tuples(
+    st.just(b), st.integers(1, b), st.integers(-b, b))))
+def test_affq_integer_key_splits_farey_neighbours(case):
+    # p1/q1 and p2/q2 with p2*q1 - p1*q2 = 1 lie 1/(q1*q2) apart, the least
+    # gap between rationals of these denominators.
+    bound, q1, p1 = case
+    g = math.gcd(p1, q1)
+    p1, q1 = p1 // g, q1 // g
+    q2 = -pow(p1, -1, q1) % q1 if q1 > 1 else 1
+    p2 = (1 + p1 * q2) // q1
+    assume(abs(p2) <= bound)
+    _order_agrees([(q1, p1), (q2, p2)], bound)
+
+
+@given(st.lists(st.lists(st.fractions(max_denominator=10**6), min_size=2, max_size=2),
+                min_size=1, max_size=30), st.integers(0, 10**6))
+def test_affq_integer_key_on_pairs(coords, extra):
+    payloads = [_affine_tuple(c) for c in coords]
+    _order_agrees(payloads, max(map(_max_abs, payloads)) + extra)
 
 
 # --- hand-computed images ---------------------------------------------------
