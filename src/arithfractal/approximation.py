@@ -13,6 +13,7 @@ never as a theorem.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -36,8 +37,16 @@ def chordal_distance(p, q) -> float:
     num = a * d - b * c
     if num == 0:
         return 0.0
+    num2, den = num * num, (a * a + b * b) * (c * c + d * d)
     # int / int is correctly rounded, like float(Fraction(...)), with no gcd.
-    return math.sqrt(num * num / ((a * a + b * b) * (c * c + d * d)))
+    square = num2 / den
+    if square >= sys.float_info.min:
+        return math.sqrt(square)
+    # Below the normal floats the square loses bits (0.0 past heights of
+    # about 2^537): scale it by 4^k, take the root, scale back by 2^-k.  A
+    # distance below every float reads as the smallest one, never as 0.0.
+    k = (den.bit_length() - num2.bit_length()) // 2 + 1
+    return max(math.ldexp(math.sqrt((num2 << 2 * k) / den), -k), math.ulp(0.0))
 
 
 def _pair(p) -> tuple[int, int]:
@@ -131,6 +140,13 @@ class ApproximantsResult(NamedTuple):
     C: float
 
 
+def check_rate(delta: float, C: float) -> None:
+    """Refuses a rate C * exp(-delta * h) unless delta and C are finite and
+    positive."""
+    if not (0 < delta < math.inf and 0 < C < math.inf):  # also false for nan
+        raise ConfigError(f"delta and C must be finite and positive, got {delta!r} and {C!r}")
+
+
 def approximants(
     bag: PointBag, target: Target, delta: float, C: float
 ) -> ApproximantsResult:
@@ -140,8 +156,7 @@ def approximants(
     flagged and excluded from exponent statistics.  The per-decile counts
     expose whether new hits keep arriving at large heights.
     """
-    if not (0 < delta < math.inf and 0 < C < math.inf):  # also false for nan
-        raise ConfigError(f"delta and C must be finite and positive, got {delta!r} and {C!r}")
+    check_rate(delta, C)
     records = _records(bag, target)
     h_max = max((r.h for r in records), default=0.0)
     hits = []

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .approximation import Target, approximants, approximation_exponent_profile
+from .approximation import Target, approximants, approximation_exponent_profile, check_rate
 from .corpus import CORPUS, corpus_path, export_corpus, load_corpus_system
 from .dimension import (
     dimension_equation,
@@ -32,6 +32,7 @@ from .dimension import (
 )
 from .elliptic import Curve, canonical_height, neron_count
 from .enumeration import (
+    DEFAULT_MAX_POINTS,
     audit_exactness,
     curve_intersection_probe,
     enumerate_system,
@@ -242,21 +243,27 @@ def _numbers(text: str, flag: str, count: Optional[int] = None) -> list[float]:
     raise ConfigError(f"{flag} expects {count or 'one or more'} finite number(s): {text!r}")
 
 
-def _parse_grid(text: str, bag) -> list[float]:
-    """A comma-separated grid, "geometric:FACTOR", or "auto" (factor 10 on
-    integer bags, 2 on the others)."""
+def _parse_grid(text: str):
+    """The --grid text, read before any enumeration, as the function that
+    builds a bag's grid: a comma-separated grid, "geometric:FACTOR", or
+    "auto" (factor 10 on integer bags, 2 on the others)."""
     if text == "auto":
-        factor = 10.0 if bag.size_kind == "abs" else 2.0
+        factor = None
     elif text.startswith("geometric:"):
         (factor,) = _numbers(text.split(":", 1)[1], "--grid geometric:", 1)
         if factor <= 1:
             raise ConfigError(f"--grid geometric: expects a factor above 1: {text!r}")
     else:
-        return _numbers(text, "--grid")
-    if bag.size_kind == "height":
-        return geometric_grid(math.log(2), bag.max_log_bound(), factor)
-    start = 4 if bag.size_kind == "norm" else factor
-    return geometric_grid(start, bag.bound, factor)
+        grid = _numbers(text, "--grid")
+        return lambda bag: grid
+
+    def geometric(bag) -> list[float]:
+        ratio = factor or (10.0 if bag.size_kind == "abs" else 2.0)
+        if bag.size_kind == "height":
+            return geometric_grid(math.log(2), bag.max_log_bound(), ratio)
+        return geometric_grid(4 if bag.size_kind == "norm" else ratio, bag.bound, ratio)
+
+    return geometric
 
 
 def _parse_lemma_gap(text: str) -> float:
@@ -269,19 +276,15 @@ def _parse_lemma_gap(text: str) -> float:
 
 def _cmd_growth(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
+    grid_of = _parse_grid(args.grid)
+    gap = _parse_lemma_gap(args.check_lemmas) if args.check_lemmas else None
     bag = enumerate_system(system, args.bound, args.max_points)
-    grid = _parse_grid(args.grid, bag)
-    table = counting_function(bag, grid)
-    verdict: dict = {
-        "label": system.label,
-        "size_kind": table.size_kind,
-        "points": len(bag),
-    }
+    table = counting_function(bag, grid_of(bag))
+    verdict: dict = {"label": system.label, "size_kind": table.size_kind, "points": len(bag)}
     lemma_exponents: list[tuple[str, float, str]] = []
-    if args.check_lemmas:
+    if gap is not None:
         spec = dimension_equation(system)
         s_dim = solve_dimension(spec, args.tol).s
-        gap = _parse_lemma_gap(args.check_lemmas)
         lemma_exponents = [
             ("upper", s_dim + gap, "bounded"),
             ("lower", s_dim - gap, "bounded"),
@@ -364,8 +367,9 @@ def _cmd_height(args, out_dir: Path) -> list[str]:
 
 def _cmd_approx(args, out_dir: Path) -> list[str]:
     system = _load(args.system)
-    bag = enumerate_system(system, args.bound, args.max_points)
     target = Target.parse(args.target, system.space)
+    check_rate(args.delta, args.C)
+    bag = enumerate_system(system, args.bound, args.max_points)
     result = approximants(bag, target, args.delta, args.C)
     profile = approximation_exponent_profile(bag, target)
     out = _out(args, out_dir, "hits.csv")
@@ -539,7 +543,8 @@ def _tolerance(text: str) -> float:
 
 def build_parser() -> argparse.ArgumentParser:
     """The one declaration of every subcommand: its handler, whether it
-    reads the global --tol (and so records it), its positionals and flags."""
+    reads the global --tol (and so records it), its positionals and flags;
+    the inputs that subcommands share are parent parsers, declared once."""
     parser = _Parser(
         prog="arithfractal",
         description="Self-similar fractals in arithmetic: enumeration, dimension, heights.",
@@ -550,78 +555,70 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, reads_tol=False, parent=sub):
-        p = parent.add_parser(name, help=help)
+    def shared(*flags, **kwargs):
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flags, **kwargs)
+        return p
+
+    system = shared("system")
+    bound = shared("--bound", type=float, required=True)
+    max_points = shared("--max-points", type=int, default=DEFAULT_MAX_POINTS)
+    out = shared("--out")
+
+    def command(name, handler, help, *inputs, reads_tol=False, parent=sub):
+        p = parent.add_parser(name, help=help, parents=inputs)
         p.set_defaults(handler=handler, reads_tol=reads_tol)
         return p
 
-    p = command("dim", _cmd_dim, "solve the dimension equation of a system", reads_tol=True)
-    p.add_argument("system")
+    p = command("dim", _cmd_dim, "solve the dimension equation of a system", system, reads_tol=True)
     p.add_argument("--convention", choices=("norm", "abs"), default="norm")
 
-    p = command("enumerate", _cmd_enumerate, "enumerate the forward orbit up to a size bound")
-    p.add_argument("system")
-    p.add_argument("--bound", type=float, required=True)
-    p.add_argument("--max-points", type=int, default=10_000_000)
-    p.add_argument("--out")
+    command("enumerate", _cmd_enumerate, "enumerate the forward orbit up to a size bound",
+            system, bound, max_points, out)
 
-    p = command("member", _cmd_member, "decide membership with a certificate")
-    p.add_argument("system")
+    p = command("member", _cmd_member, "decide membership with a certificate", system)
     p.add_argument("point")
     p.add_argument("--depth-limit", type=int, default=10_000)
 
-    p = command("audit", _cmd_audit, "audit the fractal equation on a bounded window")
-    p.add_argument("system")
-    p.add_argument("--bound", type=float, required=True)
+    p = command("audit", _cmd_audit, "audit the fractal equation on a bounded window", system, bound)
     p.add_argument("--window", choices=("orbit", "ambient"), default="orbit")
 
-    p = command(
-        "growth", _cmd_growth, "counting function, growth fit, lemma checks", reads_tol=True
-    )
-    p.add_argument("system")
-    p.add_argument("--bound", type=float, required=True)
+    p = command("growth", _cmd_growth, "counting function, growth fit, lemma checks",
+                system, bound, max_points, out, reads_tol=True)
     p.add_argument("--grid", default="auto")
     p.add_argument("--fit", action="store_true")
     p.add_argument("--check-lemmas", default="")
-    p.add_argument("--max-points", type=int, default=10_000_000)
-    p.add_argument("--out")
 
-    p = command("census", _cmd_census, "exact count of projective rational points")
+    p = command("census", _cmd_census, "exact count of projective rational points", bound, out)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--bound", type=float, required=True)
     p.add_argument("--compare-schanuel", action="store_true")
-    p.add_argument("--out")
 
     p = command("height", _cmd_height, "size and log height of a point")
     p.add_argument("point")
     p.add_argument("--space", choices=("int", "gauss", "affq", "projq"))
 
-    p = command("approx", _cmd_approx, "approximation records against a target")
-    p.add_argument("system")
+    # A parent as well, so a usage error lists system, --target, --delta, --bound.
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--target", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--bound", type=float, required=True)
-    p.add_argument("--max-points", type=int, default=10_000_000)
-    p.add_argument("--out")
+    command("approx", _cmd_approx, "approximation records against a target",
+            system, p, bound, max_points, out)
 
-    p = command("intersect", _cmd_intersect, "exact curve intersection probe")
-    p.add_argument("system")
+    p = command("intersect", _cmd_intersect, "exact curve intersection probe", system, out)
     p.add_argument("--curve", required=True)
     p.add_argument("--bounds", required=True)
-    p.add_argument("--out")
 
     ec = sub.add_parser("ec", help="elliptic curve heights and counting")
     ec = ec.add_subparsers(dest="ec_command", required=True)
     p = command("height", _cmd_ec_height, "canonical height", reads_tol=True, parent=ec)
     p.add_argument("--curve", required=True)
     p.add_argument("--point", required=True)
-    p = command("neron", _cmd_ec_neron, "rank-1 point count", reads_tol=True, parent=ec)
+    p = command("neron", _cmd_ec_neron, "rank-1 point count", out, reads_tol=True, parent=ec)
     p.add_argument("--curve", required=True)
     p.add_argument("--gen", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--torsion", default="")
-    p.add_argument("--out")
 
     p = command("corpus", _cmd_corpus, "list bundled systems or export them")
     p.add_argument("name", nargs="?", help="print the path of one bundled system")

@@ -533,9 +533,12 @@ def curve_intersection_probe(
     bound_list = sorted(as_bound(b) for b in bounds)
     if not bound_list:
         raise ConfigError("need at least one bound")
-    bag = enumerate_system(system, bound_list[-1])
+    # Validation first, so a system with no maps is NoMaps; the arity check
+    # before the enumeration, so a wrong curve fails at once at any bound.
+    require_valid(system)
     if curve.nvars != system.maps[0].nvars():
         raise ConfigError(f"curve in {curve.nvars} variables, maps in {system.maps[0].nvars()}")
+    bag = enumerate_system(system, bound_list[-1])
     (form,) = _homogenized((curve,), curve.total_degree())
     hits_all = [
         (size, bag._to_point(payload))

@@ -76,11 +76,16 @@ def geometric_grid(start: float, stop: float, factor: float) -> list[float]:
     past the float range.  A point past stop by rounding alone, 1e-12
     relative, is stop as a float: repeated products of 10.0 overshoot
     10^49 so.  Past the float range no finite float comes near stop."""
-    if start <= 0 or factor <= 1 or stop < start:
+    if not (0 < start <= stop and factor > 1):  # nan fails every comparison
         raise GridExceedsBoundError("need 0 < start <= stop and factor > 1")
+    try:
+        x, factor = float(start), float(factor)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if math.inf in (x, factor):
+        raise GridExceedsBoundError("grid start and factor must be finite floats")
     top = stop * (1 + 1e-12) if stop <= sys.float_info.max else stop
     grid = []
-    x = float(start)
     while x <= top and x < math.inf:
         grid.append(x if x <= stop else float(stop))
         x *= factor

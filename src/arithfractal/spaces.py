@@ -752,7 +752,11 @@ class EllTranslateMap(_MapKind):
         return float(self.degree() if convention == "norm" else abs(self.multiplier))
 
     def problems(self, curve):
-        if curve is not None and not curve.contains(self.translation):
+        if curve is None:
+            return
+        if self.curve != curve:
+            yield "CurveMismatch", f"map on curve {self.curve}, system on {curve}"
+        elif not curve.contains(self.translation):
             yield "TranslationNotOnCurve", "translation not on curve"
 
     @classmethod

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -35,12 +37,27 @@ big = st.integers(-(2**600), 2**600)
 
 @given(st.tuples(big, big), st.tuples(big, big))
 def test_chordal_matches_fraction_formula(p, q):
-    # The squared distance as an exact Fraction, rounded once to a float.
+    # The squared distance as an exact Fraction, rounded once to a float
+    # where that float is normal; below, the root of the exact square.
     (a, b), (c, d) = p, q
     if a == b == 0 or c == d == 0:
         return
     exact = Fraction((a * d - b * c) ** 2, (a * a + b * b) * (c * c + d * d))
-    assert chordal_distance(p, q) == math.sqrt(float(exact))
+    if exact == 0 or float(exact) >= sys.float_info.min:
+        assert chordal_distance(p, q) == math.sqrt(float(exact))
+    else:
+        with localcontext() as context:
+            context.prec = 40
+            root = (Decimal(exact.numerator) / Decimal(exact.denominator)).sqrt()
+        assert chordal_distance(p, q) == pytest.approx(float(root), rel=1e-15, abs=1e-323)
+
+
+def test_chordal_below_the_normal_floats():
+    # The square 2^-2000 has no float, the distance 2^-1000 has one.
+    assert chordal_distance((1, 2**1000), (0, 1)) == 2.0**-1000
+    assert chordal_distance((1, 2**540), (0, 1)) == 2.0**-540
+    # A distance below every float reads as the smallest one, not as 0.0.
+    assert chordal_distance((1, 2**1100), (1, 2**1100 + 1)) == math.ulp(0.0)
 
 
 @given(nonzero_pairs, nonzero_pairs)

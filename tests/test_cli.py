@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -14,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithfractal import enumerate_system, load_system
-from arithfractal.cli import _write_csv, main
+from arithfractal.cli import _write_csv, build_parser, main
 from arithfractal.corpus import corpus_names, corpus_path
 
 Z_BINARY = str(corpus_path("z-binary"))
+GAUSS = str(corpus_path("gauss-base"))
 DIGITS01 = str(corpus_path("digits01"))
 Q2 = str(corpus_path("q2-powers2"))
 P1 = str(corpus_path("p1-doubling"))
@@ -545,6 +547,89 @@ def test_bad_values_are_one_line_naming_the_input(tmp_path, capsys, argv, says):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["growth", GAUSS, "--bound", "1e6", "--check-lemmas", "sdim±nan"],
+         "--check-lemmas 'sdim±nan' (sdim±GAP) expects 1 finite number(s): 'nan'"),
+        (["growth", GAUSS, "--bound", "1e6", "--check-lemmas", "sdim+-x"],
+         "--check-lemmas 'sdim+-x' (sdim±GAP) expects 1 finite number(s): 'x'"),
+        (["growth", GAUSS, "--bound", "1e6", "--grid", "geometric:1"],
+         "--grid geometric: expects a factor above 1: 'geometric:1'"),
+        (["growth", GAUSS, "--bound", "1e6", "--grid", "1,x"],
+         "--grid expects one or more finite number(s): '1,x'"),
+        (["approx", P1, "--target", "0/1:0", "--delta", "0.9", "--bound", "1e300"],
+         "projective target must not be 0:0, got '0/1:0'"),
+        (["approx", P1, "--target", "1:2:3", "--delta", "0.9", "--bound", "1e300"],
+         "projective target must be a:b, got '1:2:3'"),
+        (["approx", P1, "--target", "0:1", "--delta", "-1", "--bound", "1e300"],
+         "delta and C must be finite and positive, got -1.0 and 1.0"),
+    ],
+)
+def test_malformed_flags_fail_before_enumerating(tmp_path, capsys, monkeypatch, argv, message):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before reading every flag")
+
+    monkeypatch.setattr("arithfractal.cli.enumerate_system", no_enumeration)
+    code, out, err = run(["--out-dir", str(tmp_path)] + argv, capsys)
+    assert (code, out, err) == (2, "", f"error[ConfigParse]: {message}\n")
+
+
+# Every input of every subcommand: its flag (or positional dest), default,
+# whether it is required, and its type.  The shared inputs are declared once,
+# as parent parsers; this pins what each subcommand receives from them.
+_PARSER_INPUTS = {
+    "dim": {"convention": ("--convention", "norm", False, None),
+            "system": ("system", None, True, None)},
+    "enumerate": {"bound": ("--bound", None, True, float),
+                  "max_points": ("--max-points", 10_000_000, False, int),
+                  "out": ("--out", None, False, None), "system": ("system", None, True, None)},
+    "member": {"depth_limit": ("--depth-limit", 10_000, False, int),
+               "point": ("point", None, True, None), "system": ("system", None, True, None)},
+    "audit": {"bound": ("--bound", None, True, float), "system": ("system", None, True, None),
+              "window": ("--window", "orbit", False, None)},
+    "growth": {"bound": ("--bound", None, True, float),
+               "check_lemmas": ("--check-lemmas", "", False, None),
+               "fit": ("--fit", False, False, None), "grid": ("--grid", "auto", False, None),
+               "max_points": ("--max-points", 10_000_000, False, int),
+               "out": ("--out", None, False, None), "system": ("system", None, True, None)},
+    "census": {"bound": ("--bound", None, True, float),
+               "compare_schanuel": ("--compare-schanuel", False, False, None),
+               "n": ("--n", 1, False, int), "out": ("--out", None, False, None)},
+    "height": {"point": ("point", None, True, None), "space": ("--space", None, False, None)},
+    "approx": {"C": ("--C", 1.0, False, float), "bound": ("--bound", None, True, float),
+               "delta": ("--delta", None, True, float),
+               "max_points": ("--max-points", 10_000_000, False, int),
+               "out": ("--out", None, False, None), "system": ("system", None, True, None),
+               "target": ("--target", None, True, None)},
+    "intersect": {"bounds": ("--bounds", None, True, None), "curve": ("--curve", None, True, None),
+                  "out": ("--out", None, False, None), "system": ("system", None, True, None)},
+    "ec height": {"curve": ("--curve", None, True, None), "point": ("--point", None, True, None)},
+    "ec neron": {"curve": ("--curve", None, True, None), "gen": ("--gen", None, True, None),
+                 "grid": ("--grid", None, True, None), "out": ("--out", None, False, None),
+                 "torsion": ("--torsion", "", False, None)},
+    "corpus": {"export": ("--export", None, False, None), "name": ("name", None, False, None)},
+    "rerun": {"manifest": ("manifest", None, True, None)},
+}
+
+
+def _subcommand_inputs(parser, prefix=""):
+    inputs = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, nested in action.choices.items():
+                inputs.update(_subcommand_inputs(nested, f"{prefix} {name}".strip()))
+        elif prefix and action.dest != "help":
+            flag = action.option_strings[0] if action.option_strings else action.dest
+            inputs.setdefault(prefix, {})[action.dest] = (
+                flag, action.default, action.required, action.type)
+    return inputs
+
+
+def test_each_subcommand_keeps_its_inputs():
+    assert _subcommand_inputs(build_parser()) == _PARSER_INPUTS
+
+
+@pytest.mark.parametrize(
     "argv, says",
     [
         (["enumerate", DIGITS01], "enumerate: the following arguments are required: --bound"),
@@ -555,6 +640,8 @@ def test_bad_values_are_one_line_naming_the_input(tmp_path, capsys, argv, says):
         (["ec", "height", "--curve", "0,0,1,-1,0"], "required: --point"),
         (["ec", "height", "--curve", "0,0,1,-1,0", "--point", "0,0", "--grid", "1"],
          "unrecognized arguments: --grid 1"),
+        (["approx"], "approx: the following arguments are required: system, --target, --delta, "
+                     "--bound"),
     ],
 )
 def test_usage_errors_are_one_config_line(tmp_path, capsys, argv, says):

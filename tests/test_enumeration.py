@@ -1447,6 +1447,16 @@ def test_intersection_curve_of_other_arity(q2_powers2):
         curve_intersection_probe(no_maps, parse_polynomial("x1 - 2", 1), [16])
 
 
+def test_intersection_arity_fails_before_enumerating(q2_powers2, monkeypatch):
+    # At a bound of 2^200 the enumeration alone would take most of a second.
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before the arity check")
+
+    monkeypatch.setattr(enumeration, "enumerate_system", no_enumeration)
+    with pytest.raises(ConfigError, match="curve in 1 variables, maps in 2"):
+        curve_intersection_probe(q2_powers2, parse_polynomial("x1 - 2", 1), [2**200])
+
+
 def test_intersection_requires_affine(z_binary):
     with pytest.raises(UnsupportedSpaceError):
         curve_intersection_probe(z_binary, parse_polynomial("x1", 1), [10])

@@ -79,6 +79,16 @@ def test_grid_past_the_float_range():
         counting_function(bag, [10**311 + 1])
 
 
+@pytest.mark.parametrize(
+    "start, stop, factor",
+    [(10**400, 10**401, 10), (4, 10**500, 10**400), (math.nan, 100, 2), (4, 100, math.nan)],
+    ids=["start-past-floats", "factor-past-floats", "nan-start", "nan-factor"],
+)
+def test_grid_without_float_start_or_factor_is_refused(start, stop, factor):
+    with pytest.raises(GridExceedsBoundError):
+        geometric_grid(start, stop, factor)
+
+
 def test_int_grid_point_without_a_float_counts_exactly():
     # float(2^54 + 3) is 2^54 + 4, above the bound.
     system = FractalSystem(

@@ -283,6 +283,10 @@ _VIOLATIONS = {
     "SeedNotOnCurve": (_ec(seed=ec_point(1, 1)), [("SeedNotOnCurve", "seed", 0)]),
     "TranslationNotOnCurve": (_ec(translation=ec_point(1, 1)),
                               [("TranslationNotOnCurve", "map", 0)]),
+    # The map computes on y^2 = x^3 - x, the system's seed lies on 37a.
+    "CurveMismatch": (_system("ec", [EllTranslateMap(2, INFINITY, Curve(0, 0, 0, -1, 0))],
+                              [ec_point(0, 0)], _CURVE_37A),
+                      [("CurveMismatch", "map", 0)]),
     "BadArity-proj": (_proj(_poly(3, (1, 2, 0, 0)), _poly(3, (1, 0, 2, 0))),
                       [("BadArity", "map", 0)]),
     "NotHomogeneous": (_proj(_poly(2, (1, 2, 0), (1, 0, 1)), _poly(2, (1, 0, 2))),
@@ -330,6 +334,14 @@ _VIOLATIONS = {
 def test_each_violation_code(case):
     system, expected = _VIOLATIONS[case]
     assert [(v.code, v.where, v.index) for v in validate_system(system)] == expected
+
+
+def test_ec_map_on_another_curve_is_refused():
+    # (0,0) is 2-torsion on y^2 = x^3 - x, so the map's own curve used to
+    # close the orbit at {(0,0), O}, points of neither curve's choosing.
+    system, _ = _VIOLATIONS["CurveMismatch"]
+    with pytest.raises(ConfigError, match="CurveMismatch at map 0: map on curve"):
+        enumerate_system(system, 100)
 
 
 def test_multivariate_linear_tuple_names_the_missing_weight_rule():
